@@ -167,10 +167,13 @@ fidelity-smoke: build
 
 # Sharded-cycle-loop smoke: one big-grid simulation (MM at --scale 4,
 # 64 thread blocks) with the SM array sharded across worker domains
-# must produce a metrics document byte-identical to the serial loop.
-# --sm-domains is a host knob excluded from the machine_config echo, so
-# the diff needs no masking at all; both auto-sizing (0) and an
-# explicit count are compared against serial (1).
+# must produce a metrics document byte-identical to one shard on the
+# calling domain. --sm-domains is a host knob excluded from the
+# machine_config echo, so the diff needs no masking at all; both
+# auto-sizing (0) and an explicit count are compared against 1. The
+# per-instruction exports (profile's metrics, series CSV and Chrome
+# trace with every pipeline event; annotate's per-PC JSON) must match
+# byte for byte too.
 shard-smoke: build
 	mkdir -p $(SMOKE_DIR)
 	$(DUNE) exec bin/darsie.exe -- run MM -m DARSIE --scale 4 -j 1 \
@@ -184,6 +187,21 @@ shard-smoke: build
 	  --json $(SMOKE_DIR)/shard_two.json > /dev/null
 	diff $(SMOKE_DIR)/shard_serial.json $(SMOKE_DIR)/shard_auto.json
 	diff $(SMOKE_DIR)/shard_serial.json $(SMOKE_DIR)/shard_two.json
+	for d in 1 2; do \
+	  $(DUNE) exec bin/darsie.exe -- profile MM -m DARSIE --scale 4 \
+	    --cache $(SMOKE_DIR)/shardcache --sm-domains $$d \
+	    --json $(SMOKE_DIR)/shard$${d}_profile.json \
+	    --csv $(SMOKE_DIR)/shard$${d}_profile.csv \
+	    --chrome-trace $(SMOKE_DIR)/shard$${d}_profile.trace.json > /dev/null \
+	    || exit 1; \
+	  $(DUNE) exec bin/darsie.exe -- annotate MM -m DARSIE --scale 4 -j 1 \
+	    --cache $(SMOKE_DIR)/shardcache --sm-domains $$d \
+	    --json $(SMOKE_DIR)/shard$${d}_annotate.json > /dev/null || exit 1; \
+	done
+	for f in profile.json profile.csv profile.trace.json annotate.json; do \
+	  cmp -s $(SMOKE_DIR)/shard1_$$f $(SMOKE_DIR)/shard2_$$f \
+	    || { echo "$$f differs between 1 and 2 domains"; exit 1; }; \
+	done
 
 # Record a fresh bench trajectory point into bench/history/ and gate it
 # against the committed baseline. Deterministic simulated metrics use a

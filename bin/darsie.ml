@@ -145,16 +145,17 @@ let smem_banks_arg =
   Arg.(value & opt int 0 & info [ "smem-banks" ] ~docv:"N" ~doc)
 
 (* The two host-side sharding knobs. Unlike the fidelity knobs they are
-   timing-invisible: sharded runs are bit-identical to serial stepping
+   timing-invisible: runs are bit-identical at every domain count
    (test_shard), so neither appears in the metrics machine_config echo. *)
 let sm_domains_arg =
   let doc =
     "Shard each simulation's SM array across $(docv) worker domains, \
      advancing in lockstep epochs with DRAM traffic replayed in canonical \
      serial order at every barrier. Results are bit-identical for every \
-     value; 1 (the default) is the serial cycle loop, 0 auto-sizes to the \
-     available cores. Under a $(b,-j) pool the per-run domains are divided \
-     down so pool x sharding never oversubscribes the machine."
+     value; 1 (the default) runs one shard on the calling domain, 0 \
+     auto-sizes to the available cores. Under a $(b,-j) pool the per-run \
+     domains are divided down so pool x sharding never oversubscribes the \
+     machine."
   in
   Arg.(value & opt int 1 & info [ "sm-domains" ] ~docv:"N" ~doc)
 
@@ -692,7 +693,7 @@ let check_cmd =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
   in
   let deadline_arg =
-    let doc = "Processor-seconds budget per timing run (wall timeout)." in
+    let doc = "Wall-clock seconds budget per timing run (wall timeout)." in
     Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECS" ~doc)
   in
   let max_cycles_arg =

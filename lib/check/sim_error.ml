@@ -15,7 +15,6 @@ type diagnostic = {
   d_engine : string;
   d_warps : warp_snapshot list;
   d_attribution : (string * int) list;
-  d_events : Obs.Event.t list;
   d_notes : (string * int) list;
 }
 
@@ -25,7 +24,6 @@ let empty_diagnostic =
     d_engine = "";
     d_warps = [];
     d_attribution = [];
-    d_events = [];
     d_notes = [];
   }
 
@@ -146,10 +144,6 @@ let pp_diag fmt d =
   if d.d_notes <> [] then begin
     Format.fprintf fmt "@,engine state:";
     List.iter (fun (name, n) -> Format.fprintf fmt " %s=%d" name n) d.d_notes
-  end;
-  if d.d_events <> [] then begin
-    Format.fprintf fmt "@,last %d pipeline events:" (List.length d.d_events);
-    List.iter (fun e -> Format.fprintf fmt "@,  %a" Obs.Event.pp e) d.d_events
   end
 
 let pp fmt t =
@@ -177,19 +171,6 @@ let json_of_diag d =
       ( "attribution",
         Obs.Json.Obj
           (List.map (fun (k, v) -> (k, Obs.Json.Int v)) d.d_attribution) );
-      ( "events",
-        Obs.Json.List
-          (List.map
-             (fun (e : Obs.Event.t) ->
-               Obs.Json.Obj
-                 [
-                   ("cycle", Obs.Json.Int e.Obs.Event.cycle);
-                   ("sm", Obs.Json.Int e.Obs.Event.sm);
-                   ("warp", Obs.Json.Int e.Obs.Event.warp);
-                   ( "kind",
-                     Obs.Json.String (Obs.Event.kind_name e.Obs.Event.kind) );
-                 ])
-             d.d_events) );
       ( "engine_state",
         Obs.Json.Obj (List.map (fun (k, v) -> (k, Obs.Json.Int v)) d.d_notes)
       );

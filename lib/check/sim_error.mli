@@ -7,8 +7,8 @@
     the harness instead of ad-hoc [failwith]s. Each error maps to a
     distinct nonzero process exit code so scripts and CI can tell the
     failure classes apart, and the heavyweight cases carry a structured
-    {!diagnostic} dump (per-warp state, stall attribution, the last few
-    pipeline events) gathered at the point of failure. *)
+    {!diagnostic} dump (per-warp state, stall attribution, engine
+    counters) gathered at the point of failure. *)
 
 (** One warp's state at the moment of failure. *)
 type warp_snapshot = {
@@ -25,7 +25,6 @@ type diagnostic = {
   d_engine : string;  (** elimination engine, [""] for emulator errors *)
   d_warps : warp_snapshot list;
   d_attribution : (string * int) list;  (** stall buckets summed over SMs *)
-  d_events : Darsie_obs.Event.t list;  (** last-N pipeline events, oldest first *)
   d_notes : (string * int) list;  (** engine-specific counters *)
 }
 

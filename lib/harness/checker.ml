@@ -5,6 +5,10 @@ module Json = Darsie_obs.Json
 module Sim_error = Darsie_check.Sim_error
 module Injector = Darsie_check.Injector
 module Oracle = Darsie_check.Oracle
+module Tel = Darsie_telemetry.Telemetry
+
+(* Wall-clock seconds since [t0], a {!Tel.elapsed_ns} reading. *)
+let seconds_since t0 = float_of_int (Tel.elapsed_ns () - t0) /. 1e9
 
 type timing_run = {
   machine : Suite.machine;
@@ -74,11 +78,8 @@ let replay_command ?cfg ?deadline ~machines ~scale ~oracle ~inject ~seed abbr =
 
 let check_app ?cfg ?(scale = 1) ?(machines = default_machines) ?(oracle = true)
     ?(inject = 0) ?(seed = 1) ?deadline ?cache (w : W.t) =
-  Darsie_telemetry.Telemetry.span
-    ~args:[ ("app", Darsie_telemetry.Telemetry.Str w.W.abbr) ]
-    "check.app"
-  @@ fun () ->
-  let t0 = Sys.time () in
+  Tel.span ~args:[ ("app", Tel.Str w.W.abbr) ] "check.app" @@ fun () ->
+  let t0 = Tel.elapsed_ns () in
   let errors = ref [] in
   let note e = errors := e :: !errors in
   (* functional run against the CPU reference *)
@@ -183,7 +184,7 @@ let check_app ?cfg ?(scale = 1) ?(machines = default_machines) ?(oracle = true)
     timing;
     oracle = oracle_report;
     injections;
-    elapsed_s = Sys.time () -. t0;
+    elapsed_s = seconds_since t0;
     replay =
       replay_command ?cfg ?deadline ~machines ~scale ~oracle ~inject ~seed
         w.W.abbr;
@@ -191,7 +192,7 @@ let check_app ?cfg ?(scale = 1) ?(machines = default_machines) ?(oracle = true)
 
 let check_suite ?cfg ?scale ?machines ?oracle ?inject ?seed ?deadline ?cache
     ?(jobs = 1) ?(apps = Darsie_workloads.Registry.all) () =
-  let t0 = Sys.time () in
+  let t0 = Tel.elapsed_ns () in
   let cfg = Option.map (Suite.divide_domains ~jobs) cfg in
   (* check_app never raises (capture is its whole point), so Parallel.map
      cannot re-raise here; it is used purely for the domain fan-out and
@@ -203,7 +204,7 @@ let check_suite ?cfg ?scale ?machines ?oracle ?inject ?seed ?deadline ?cache
         check_app ?cfg ?scale ?machines ?oracle ?inject ?seed ?deadline ?cache w)
       apps
   in
-  { apps = reports; elapsed_s = Sys.time () -. t0 }
+  { apps = reports; elapsed_s = seconds_since t0 }
 
 let app_passed a = a.errors = []
 

@@ -7,8 +7,8 @@
     {!Darsie_check.Sim_error.t} instead of a crash, so one poisoned or
     deadlocking application degrades the suite result into a partial
     report rather than taking the process down. Per-application budgets
-    (the timing model's cycle bound and an optional processor-seconds
-    deadline) bound how long any single application can hold the suite. *)
+    (the timing model's cycle bound and an optional wall-clock deadline)
+    bound how long any single application can hold the suite. *)
 
 type timing_run = {
   machine : Suite.machine;
@@ -29,7 +29,7 @@ type app_report = {
   timing : timing_run list;
   oracle : Darsie_check.Oracle.report option;
   injections : injection list;
-  elapsed_s : float;  (** processor seconds spent on this app *)
+  elapsed_s : float;  (** wall-clock seconds spent on this app *)
   replay : string;
       (** the exact [darsie check] command line that re-runs this app's
           checks in isolation (scale/oracle/injection flags included);
@@ -65,7 +65,7 @@ val check_app :
     [machines] (default BASE and DARSIE, each attribution-checked),
     differential oracle when [oracle] (default true), and [inject]
     (default 0) seeded faults that the oracle must detect. [deadline]
-    bounds each timing run in processor seconds. [cache] lets the timing
+    bounds each timing run in wall-clock seconds. [cache] lets the timing
     runs reuse persisted functional traces (the functional verify and
     the oracle always re-emulate — they check the emulator itself).
     Never raises: all failures land in [errors]. *)
@@ -87,9 +87,9 @@ val check_suite :
     each: an app that fails or crashes is reported and the remaining apps
     still run. [jobs] (default 1) checks that many apps concurrently on
     separate domains via {!Parallel}; the report lists apps in input
-    order either way, and per-app [elapsed_s] stays meaningful because it
-    is processor time charged to the whole process — use it for relative
-    weight, not wall time, when [jobs > 1]. *)
+    order either way. Per-app [elapsed_s] and deadlines are wall-clock
+    time since that app (or timing run) started, so work on other
+    domains does not count against them. *)
 
 val render : report -> string
 (** Human-readable per-app lines plus a PASS/FAIL summary. *)

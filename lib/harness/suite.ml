@@ -76,13 +76,16 @@ let factory_of = function
       ~options:{ Darsie_core.Darsie_engine.ignore_store = false; no_cf_sync = true }
       ()
 
-let run_app_checked ?(cfg = Config.default) ?sink ?sample_interval
-    ?event_window ?deadline ?pcstat app machine =
+let setup ?(cfg = Config.default) machine =
   let cfg =
     match machine with
     | Silicon_sync -> { cfg with Config.sync_at_branches = true }
     | _ -> cfg
   in
+  (cfg, factory_of machine)
+
+let run_app_checked ?cfg ?sink ?sample_interval ?deadline ?pcstat app machine =
+  let cfg, factory = setup ?cfg machine in
   Tel.span
     ~args:
       [
@@ -92,8 +95,8 @@ let run_app_checked ?(cfg = Config.default) ?sink ?sample_interval
     "sim.run"
     (fun () ->
       match
-        Gpu.run ~cfg ?sink ?sample_interval ?event_window ?deadline ?pcstat
-          (factory_of machine) app.kinfo app.trace
+        Gpu.run ~cfg ?sink ?sample_interval ?deadline ?pcstat factory
+          app.kinfo app.trace
       with
       | Ok gpu ->
         let energy = Darsie_energy.Energy_model.account cfg gpu.Gpu.stats in

@@ -43,6 +43,15 @@ val machine_name : machine -> string
 val all_machines : machine list
 (** Every configuration, in the order above — the full evaluation. *)
 
+val setup :
+  ?cfg:Darsie_timing.Config.t ->
+  machine ->
+  Darsie_timing.Config.t * Darsie_timing.Engine.factory
+(** The timing configuration and engine a machine runs with: [cfg]
+    (default {!Darsie_timing.Config.default}) with the machine's
+    adjustments (SILICON-SYNC forces [sync_at_branches]), and its
+    elimination engine. *)
+
 (** One matrix cell: a timing-model run plus its energy accounting. *)
 type run = {
   machine : machine;
@@ -64,7 +73,6 @@ val run_app_checked :
   ?cfg:Darsie_timing.Config.t ->
   ?sink:Darsie_obs.Sink.t ->
   ?sample_interval:int ->
-  ?event_window:int ->
   ?deadline:float ->
   ?pcstat:bool ->
   app ->

@@ -78,22 +78,22 @@ type t = {
           memory request is in flight for this many consecutive cycles;
           [0] disables the watchdog *)
   fast_forward : bool;
-      (** event-driven idle-cycle fast-forwarding: when every SM is
-          stalled on known-latency events, jump the clock to the earliest
+      (** event-driven idle-cycle fast-forwarding: while an SM is
+          stalled on known-latency events, jump its clock to its next
           wake-up and bulk-charge the skipped span. Bit-identical to
-          stepping every cycle; [false] forces the cycle-by-cycle path
+          stepping every cycle; [false] wakes every SM at every cycle
           (the [--no-fast-forward] escape hatch) *)
   sm_domains : int;
       (** host-side worker domains one {!Gpu.run} shards its SM array
-          across. [1] (default) is the serial cycle loop, bit-identical
-          to the historical machine by construction; [0] auto-sizes to
-          [min num_sms (Domain.recommended_domain_count ())]. Sharded
-          runs are bit-identical to serial stepping — this is a host
-          performance knob, not a machine parameter, so it is excluded
-          from {!knobs} and from the metrics [machine_config] echo *)
+          across. [1] (default) runs one shard on the calling domain;
+          [0] auto-sizes to [min num_sms (Domain.recommended_domain_count
+          ())]. Results are bit-identical at every domain count — this
+          is a host performance knob, not a machine parameter, so it is
+          excluded from {!knobs} and from the metrics [machine_config]
+          echo *)
   epoch_slack : int;
-      (** epoch length (clock slack) of the sharded cycle loop: each
-          worker advances its SMs this many cycles between barriers.
+      (** epoch length (clock slack) of the cycle loop: each shard
+          advances its SMs this many cycles between barriers.
           [0] (default) auto-sizes to the soundness bound
           [l1_lat + dram_lat]; explicit values are clamped to that
           bound, below which a deferred DRAM request provably cannot

@@ -48,12 +48,8 @@ let merge_notes per_sm_notes =
     per_sm_notes;
   List.rev_map (fun k -> (k, Hashtbl.find acc k)) !order
 
-(* Fold the drained SM array into a [result]; shared by the serial and
-   the sharded cycle loops (the sharded one always passes
-   [sample_interval = None] and [pcstat = false] — it falls back to the
-   serial loop whenever either is requested). *)
-let assemble ~cycles ~sample_interval ~pcstat ~tbs_per_sm (kernel : Kernel.t)
-    sms =
+(* Fold the drained SM array into a [result]. *)
+let assemble ~cycles ~tbs_per_sm (kernel : Kernel.t) sms =
   Array.iter Sm.finalize sms;
   let per_sm = Array.map Sm.stats sms in
   let agg = Stats.create () in
@@ -62,20 +58,8 @@ let assemble ~cycles ~sample_interval ~pcstat ~tbs_per_sm (kernel : Kernel.t)
   let per_sm_attribution = Array.map Sm.attribution sms in
   let attribution = Obs.Attrib.create () in
   Array.iter (fun a -> Obs.Attrib.add attribution a) per_sm_attribution;
-  let series =
-    if sample_interval = None then [||]
-    else
-      Array.map
-        (fun sm -> match Sm.series sm with Some s -> s | None -> assert false)
-        sms
-  in
-  let per_sm_pcstat =
-    if not pcstat then [||]
-    else
-      Array.map
-        (fun sm -> match Sm.pcstat sm with Some p -> p | None -> assert false)
-        sms
-  in
+  let present f = Array.of_list (List.filter_map f (Array.to_list sms)) in
+  let per_sm_pcstat = present Sm.pcstat in
   let pcstat_agg =
     if Array.length per_sm_pcstat = 0 then None
     else begin
@@ -99,7 +83,7 @@ let assemble ~cycles ~sample_interval ~pcstat ~tbs_per_sm (kernel : Kernel.t)
     tbs_per_sm;
     attribution;
     per_sm_attribution;
-    series;
+    series = present Sm.series;
     pcstat = pcstat_agg;
     per_sm_pcstat;
     skip_telemetry;
@@ -107,20 +91,87 @@ let assemble ~cycles ~sample_interval ~pcstat ~tbs_per_sm (kernel : Kernel.t)
     per_sm_ledger;
   }
 
-let run_body ~cfg ~sink ~sample_interval ~event_window ~deadline ~pcstat
-    factory (kinfo : Kinfo.t) (trace : Record.t) =
+(* How many shards [cfg.sm_domains] asks for on this machine: 1 is one
+   shard on the calling domain, 0 auto-sizes to the host, anything else
+   is capped at the SM count (extra domains would own empty shards). *)
+let resolve_domains (cfg : Config.t) =
+  let n =
+    if cfg.Config.sm_domains = 0 then Domain.recommended_domain_count ()
+    else cfg.Config.sm_domains
+  in
+  max 1 (min n cfg.Config.num_sms)
+
+(* Epoch slack: how far an SM may run ahead of the earliest wake-up
+   before the next barrier. Soundness bound: a deferred DRAM request
+   issued at cycle [x] completes no earlier than [x + l1_lat +
+   dram_lat], so as long as the epoch ends before that, its writeback
+   cannot fall due on its [max_int] placeholder inside the epoch.
+   One-cycle epochs are always sound (a request's writeback is never
+   due before the next cycle). [0] picks the bound itself; explicit
+   values are clamped into [1, bound]. *)
+let resolve_slack (cfg : Config.t) =
+  let bound = max 1 (cfg.Config.l1_lat + cfg.Config.dram_lat) in
+  if cfg.Config.epoch_slack <= 0 then bound
+  else min cfg.Config.epoch_slack bound
+
+(* Sort key of a buffered event in lockstep emission order: by cycle,
+   and within a cycle every SM's step events before the threadblock
+   launches of the dispatch scan that follows them. *)
+let emission_key (ev : Obs.Event.t) =
+  (2 * ev.Obs.Event.cycle)
+  + if ev.Obs.Event.kind = Obs.Event.Tb_launch then 1 else 0
+
+(* The cycle loop.
+
+   The SM array is split into contiguous shards, one per domain; shard 0
+   runs on the calling domain, so [sm_domains = 1] is the plain serial
+   case with no domain spawned. Shards advance independently from
+   barrier [B] to barrier [E] — all cross-SM state is frozen for the
+   epoch. Each SM follows its own wake calendar: [wakes.(i)] is the next
+   cycle SM [i] must step at (with fast-forward off, always the next
+   cycle); until then its clock is fast-forwarded, bulk-charging the
+   skipped cycles exactly as stepping them would ({!Sm.fast_forward}).
+   DRAM requests are queued SM-locally under placeholder completions,
+   events go to per-SM buffers, and a shard *pauses* an SM right after
+   any step that retires a threadblock while TBs remain undispatched —
+   the only instants a per-cycle dispatch scan can act. At the barrier
+   the calling domain, single-threaded:
+
+   1. replays the pause queue in (cycle, SM index) order — exactly the
+      per-cycle dispatch scan's order — launching TBs and advancing the
+      paused SM onward to [E] (which may pause it again);
+   2. replays every deferred DRAM request against the shared channel in
+      canonical (cycle, SM index, issue sequence) order
+      ({!Sm.commit_epoch}), patching the placeholder completions;
+   3. drains the event buffers into the sink in lockstep emission order
+      ([emission_key], then SM index, then emission order), so a capped
+      recorder keeps exactly the events a per-cycle loop would feed it;
+   4. re-derives each live SM's wake-up from the patched state, decides
+      termination, deadlock watchdog, cycle bound and deadline at [E],
+      and picks the next [E].
+
+   Epoch ends are chosen as [min-wake + slack - 1] (no SM steps before
+   its wake-up, so every request of the epoch still completes after
+   [E]), additionally capped so the watchdog can only fire exactly at a
+   barrier, with exactly a per-cycle check's idle count and cycle. *)
+let simulate ~cfg ~sink ~sample_interval ~deadline ~pcstat factory
+    (kinfo : Kinfo.t) (trace : Record.t) =
   let kernel = kinfo.Kinfo.kernel in
   let warps_per_tb = Record.warps_per_tb trace in
   let tbs_per_sm = occupancy cfg kernel ~warps_per_tb in
-  let dram =
-    Mem_model.Dram.create ~txn_cycles:cfg.Config.dram_txn_cycles
-      ~latency:cfg.Config.dram_lat
-  in
-  let ring = if event_window > 0 then Some (Obs.Ring.create ~cap:event_window) else None in
-  let sink = match ring with Some r -> Obs.Ring.tee r sink | None -> sink in
+  let num_sms = cfg.Config.num_sms in
   let ninsts = Array.length kernel.Kernel.insts in
+  let traced = Obs.Sink.enabled sink in
+  (* per-SM event buffers, newest first; each is only written by the
+     domain advancing its SM, or at a barrier) *)
+  let buffers = Array.make num_sms [] in
   let sms =
-    Array.init cfg.Config.num_sms (fun i ->
+    Array.init num_sms (fun i ->
+        let sink =
+          if traced then
+            Obs.Sink.of_fn (fun ev -> buffers.(i) <- ev :: buffers.(i))
+          else Obs.Sink.null
+        in
         let series =
           Option.map
             (fun interval ->
@@ -130,309 +181,41 @@ let run_body ~cfg ~sink ~sample_interval ~event_window ~deadline ~pcstat
         let pcstat =
           if pcstat then Some (Obs.Pcstat.create ~n:ninsts) else None
         in
-        Sm.create ~sm_id:i ~sink ?series ?pcstat cfg kinfo factory dram
+        Sm.create ~sm_id:i ~sink ?series ?pcstat cfg kinfo factory
           ~slots:tbs_per_sm ~warps_per_tb)
   in
-  let ntbs = Record.num_tbs trace in
-  let next_tb = ref 0 in
-  let cycles = ref 0 in
-  (* Per-SM wake-up calendar (fast-forward mode): [wakes.(i)] is the next
-     cycle SM [i] must be stepped at; until then its clock is left behind
-     and lazily caught up with a bulk charge. 0 = step immediately. *)
-  let wakes = Array.make (Array.length sms) 0 in
-  let catch_up target =
-    Array.iter
-      (fun sm ->
-        if Sm.cycle sm < target then Sm.fast_forward sm ~to_:target)
-      sms
-  in
-  let dispatch () =
-    Array.iteri
-      (fun i sm ->
-        while !next_tb < ntbs && Sm.can_accept sm do
-          (* A lagging SM must be on the global clock before warps are
-             installed, and has fetchable work from the next cycle on. *)
-          if Sm.cycle sm < !cycles then Sm.fast_forward sm ~to_:!cycles;
-          wakes.(i) <- !cycles + 1;
-          Sm.launch_tb sm ~tb_id:!next_tb ~traces:trace.Record.tbs.(!next_tb);
-          incr next_tb
-        done)
-      sms
-  in
-  let diag ~at () =
-    catch_up at;
-    let attr = Obs.Attrib.create () in
-    Array.iter (fun sm -> Obs.Attrib.add attr (Sm.attribution sm)) sms;
-    {
-      Sim_error.d_cycle = !cycles;
-      d_engine = Sm.engine_name sms.(0);
-      d_warps =
-        List.concat_map Sm.warp_snapshots (Array.to_list sms);
-      d_attribution = Obs.Attrib.to_assoc attr;
-      d_events = (match ring with Some r -> Obs.Ring.events r | None -> []);
-      d_notes = merge_notes (Array.to_list (Array.map Sm.debug_state sms));
-    }
-  in
-  let started = Sys.time () in
-  let hb_t0 = Tel.elapsed_ns () in
-  let progress = ref (-1) in
-  let idle = ref 0 in
-  let error = ref None in
-  (* Telemetry counters are accumulated in plain refs on the hot path and
-     flushed once after the loop, so instrumented runs pay integer adds. *)
-  let tel_jumps = ref 0 and tel_elided = ref 0 and tel_arms = ref 0 in
-  (* Deadlock watchdog: every SM's progress token frozen with no operation
-     between issue and writeback for watchdog_cycles. [span] is how many
-     simulated cycles elapsed since the previous check (1 when stepping,
-     the jump width when fast-forwarding — skipped cycles are idle by
-     construction, so a frozen token accumulates the whole span). *)
-  let check_watchdog span =
-    if cfg.Config.watchdog_cycles > 0 then begin
-      let token =
-        Array.fold_left (fun acc sm -> acc + Sm.progress_token sm) 0 sms
-      in
-      let inflight =
-        Array.fold_left (fun acc sm -> acc + Sm.inflight_count sm) 0 sms
-      in
-      if token = !progress && inflight = 0 then begin
-        if !idle = 0 then incr tel_arms;
-        idle := !idle + span;
-        if !idle >= cfg.Config.watchdog_cycles then
-          error :=
-            Some
-              (Sim_error.Deadlock
-                 {
-                   message =
-                     Printf.sprintf
-                       "no warp fetched, issued or skipped and no \
-                        operation was in flight for %d cycles"
-                       !idle;
-                   diag = diag ~at:!cycles ();
-                 })
-      end
-      else begin
-        progress := token;
-        idle := 0
-      end
-    end
-  in
-  (* Wall-clock budget, checked at a coarse cadence: whenever the clock
-     crosses a 4096-cycle boundary — same cadence as stepping cycle by
-     cycle, and a jump cannot out-run it because the check also fires at
-     jump boundaries. *)
-  let wall_mark = ref 0 in
-  let check_wall () =
-    match deadline with
-    | Some budget_s when !cycles lsr 12 <> !wall_mark ->
-      wall_mark := !cycles lsr 12;
-      let elapsed = Sys.time () -. started in
-      if elapsed > budget_s then
-        error :=
-          Some
-            (Sim_error.Wall_timeout
-               {
-                 budget_s;
-                 cycle = !cycles;
-                 message =
-                   Printf.sprintf
-                     "wall-clock budget of %gs exhausted at cycle %d"
-                     budget_s !cycles;
-               })
-    | _ -> ()
-  in
-  let ff_steps = ref 0 and ff_skipped = ref 0 in
-  let ff_debug = Sys.getenv_opt "DARSIE_FF_DEBUG" <> None in
-  dispatch ();
-  while !error = None && (Array.exists Sm.busy sms || !next_tb < ntbs) do
-    (* Event-driven fast-forward: each SM is stepped only at cycles on
-       its wake-up calendar; in between, its clock lags and is caught up
-       with one bulk charge ({!Sm.fast_forward}) right before its next
-       real step. When even the earliest wake-up is more than one cycle
-       out, the global clock additionally advances in one jump.
-       Bit-identical to stepping: skipped cycles land in the same
-       attribution buckets and stall counters, and jump targets are
-       capped so the cycle bound and the watchdog fire at exactly the
-       cycle they would have when stepping. [wake = max_int] everywhere
-       (deadlock) keeps stepping so the watchdog sees it. *)
-    if cfg.Config.fast_forward then begin
-      let wake = Array.fold_left min max_int wakes in
-      let wake =
-        match Mem_model.Dram.next_event dram ~now:!cycles with
-        | Some c -> min wake c
-        | None -> wake
-      in
-      if wake < max_int && wake > !cycles + 1 then begin
-        let target = min (wake - 1) cfg.Config.max_cycles in
-        let target =
-          (* Never jump past the cycle where the watchdog would fire.
-             Skipped cycles never advance a progress token, so when
-             nothing is in flight the idle counter grows with the span. *)
-          if
-            cfg.Config.watchdog_cycles > 0
-            && Array.fold_left
-                 (fun acc sm -> acc + Sm.inflight_count sm)
-                 0 sms
-               = 0
-          then min target (!cycles + cfg.Config.watchdog_cycles - !idle)
-          else target
-        in
-        let span = target - !cycles in
-        if span > 0 then begin
-          incr tel_jumps;
-          tel_elided := !tel_elided + span;
-          cycles := target;
-          check_watchdog span;
-          check_wall ()
-        end
-      end
-    end;
-    if !error = None then begin
-      incr cycles;
-      if !cycles > cfg.Config.max_cycles then
-        error :=
-          Some
-            (Sim_error.Cycle_bound
-               {
-                 bound = cfg.Config.max_cycles;
-                 message =
-                   Printf.sprintf
-                     "simulation exceeded its cycle bound of %d cycles"
-                     cfg.Config.max_cycles;
-                 diag = diag ~at:(!cycles - 1) ();
-               })
-      else begin
-        if cfg.Config.fast_forward then
-          Array.iteri
-            (fun i sm ->
-              if wakes.(i) <= !cycles then begin
-                if Sm.cycle sm < !cycles - 1 then begin
-                  if ff_debug then
-                    ff_skipped := !ff_skipped + (!cycles - 1 - Sm.cycle sm);
-                  Sm.fast_forward sm ~to_:(!cycles - 1)
-                end;
-                if ff_debug then incr ff_steps;
-                Sm.step sm;
-                wakes.(i) <- Sm.next_event_cycle sm
-              end)
-            sms
-        else Array.iter Sm.step sms;
-        dispatch ();
-        check_watchdog 1;
-        check_wall ();
-        if !cycles land 0xFFFF = 0 && Tel.Progress.mode () <> Tel.Progress.Off
-        then begin
-          let elapsed_s =
-            float_of_int (Tel.elapsed_ns () - hb_t0) /. 1e9
-          in
-          Tel.Progress.cycles ~cycles:!cycles
-            ~cycles_per_sec:
-              (if elapsed_s <= 0.0 then 0.0
-               else float_of_int !cycles /. elapsed_s)
-            ~engine:(Sm.engine_name sms.(0))
-        end
-      end
-    end
-  done;
-  if !tel_jumps > 0 then Tel.incr ~by:!tel_jumps "ff.jumps";
-  if !tel_elided > 0 then Tel.incr ~by:!tel_elided "ff.cycles_elided";
-  if !tel_arms > 0 then Tel.incr ~by:!tel_arms "watchdog.arms";
-  (* Lagging SMs charge their tail idle span up to the final cycle so the
-     attribution invariant (bucket total = cycles on every SM) holds. *)
-  if cfg.Config.fast_forward then begin
-    if ff_debug then
-      Array.iter
-        (fun sm ->
-          if Sm.cycle sm < !cycles then
-            ff_skipped := !ff_skipped + (!cycles - Sm.cycle sm))
-        sms;
-    catch_up !cycles
-  end;
-  if ff_debug then
-    Printf.eprintf "[ff] cycles=%d sm_steps=%d skipped_sm_cycles=%d (%.1f%%)\n%!"
-      !cycles !ff_steps !ff_skipped
-      (let total = !cycles * Array.length sms in
-       if total = 0 then 0.0
-       else 100.0 *. float_of_int !ff_skipped /. float_of_int total);
-  match !error with
-  | Some e -> Stdlib.Error e
-  | None ->
-    Ok (assemble ~cycles:!cycles ~sample_interval ~pcstat ~tbs_per_sm kernel sms)
-
-(* ------------------------------------------------------------------ *)
-(* Sharded cycle loop: one simulation across several domains           *)
-(* ------------------------------------------------------------------ *)
-
-(* How many worker domains [cfg.sm_domains] asks for on this machine:
-   1 stays 1 (the serial loop, bit-identical by construction), 0
-   auto-sizes to the host, anything else is capped at the SM count
-   (extra domains would own empty shards). *)
-let resolve_domains (cfg : Config.t) =
-  match cfg.Config.sm_domains with
-  | 1 -> 1
-  | 0 -> max 1 (min cfg.Config.num_sms (Domain.recommended_domain_count ()))
-  | n when n < 1 -> 1
-  | n -> min n cfg.Config.num_sms
-
-(* Epoch slack: how far a worker may run ahead of the earliest wake-up
-   before the next barrier. Soundness bound: a deferred DRAM request
-   issued at cycle [x] completes no earlier than [x + l1_lat +
-   dram_lat], so as long as the epoch ends before that, its [max_int]
-   placeholder is never consulted — the issuing SM cannot observe the
-   writeback inside the epoch. [0] picks the bound itself; explicit
-   values are clamped into [1, bound]. *)
-let resolve_slack (cfg : Config.t) =
-  let bound = cfg.Config.l1_lat + cfg.Config.dram_lat in
-  if cfg.Config.epoch_slack <= 0 then bound
-  else max 1 (min cfg.Config.epoch_slack bound)
-
-(* The epoch-barrier protocol.
-
-   Workers advance disjoint SM shards independently from barrier [B] to
-   barrier [E] (all cross-SM state is frozen for the epoch): DRAM
-   requests are queued SM-locally under placeholder completions, and a
-   worker *pauses* an SM right after any step that retires a
-   threadblock while TBs remain undispatched — the only instants the
-   serial loop's per-cycle dispatch scan can act. At the barrier the
-   driver, single-threaded:
-
-   1. replays the pause queue in (cycle, SM index) order — exactly the
-      serial dispatch order — launching TBs and advancing the paused SM
-      onward to [E] (which may pause it again, re-queued in order);
-   2. replays every deferred DRAM request against the shared channel in
-      canonical (cycle, SM index, issue sequence) order
-      ({!Sm.commit_epoch}), patching the placeholder completions;
-   3. re-derives each live SM's wake-up from the patched state, decides
-      termination / cycle-bound / deadlock-watchdog exactly as the
-      serial loop would have at [E], and picks the next [E].
-
-   Epoch ends are chosen as [min-wake + slack - 1] (no SM steps before
-   its wake-up, so every request of the epoch still completes after
-   [E]), additionally capped so the watchdog can only fire exactly at a
-   barrier, with exactly the serial loop's idle count and cycle. *)
-let sharded_body ~cfg ~deadline ~domains factory (kinfo : Kinfo.t)
-    (trace : Record.t) =
-  let kernel = kinfo.Kinfo.kernel in
-  let warps_per_tb = Record.warps_per_tb trace in
-  let tbs_per_sm = occupancy cfg kernel ~warps_per_tb in
   let dram =
     Mem_model.Dram.create ~txn_cycles:cfg.Config.dram_txn_cycles
       ~latency:cfg.Config.dram_lat
   in
-  let num_sms = cfg.Config.num_sms in
-  let sms =
-    Array.init num_sms (fun i ->
-        Sm.create ~sm_id:i ~deferred_dram:true cfg kinfo factory dram
-          ~slots:tbs_per_sm ~warps_per_tb)
+  (* Each buffer is already in emission order, so merging them in SM
+     order (ties keep the earlier SM) yields the lockstep order. *)
+  let drain () =
+    if traced then begin
+      let order a b = Int.compare (emission_key a) (emission_key b) in
+      let evs =
+        Array.fold_left (fun acc b -> List.merge order acc (List.rev b)) []
+          buffers
+      in
+      Array.fill buffers 0 num_sms [];
+      List.iter (Obs.Sink.emit sink) evs
+    end
   in
   let ntbs = Record.num_tbs trace in
   let next_tb = ref 0 in
   let slack = resolve_slack cfg in
+  let next_wake sm =
+    if cfg.Config.fast_forward then Sm.next_event_cycle sm
+    else Sm.cycle sm + 1
+  in
   let wakes = Array.make num_sms 1 in
   (* cycle the SM went idle with dispatch closed; -1 = still live *)
   let done_at = Array.make num_sms (-1) in
   (* cycle the SM paused at for a dispatch scan; -1 = no pause pending *)
   let pauses = Array.make num_sms (-1) in
   let retired_seen = Array.make num_sms 0 in
+  (* SM-cycles fast-forwarded rather than stepped *)
+  let elided = Array.make num_sms 0 in
   let launch i c =
     let sm = sms.(i) in
     while !next_tb < ntbs && Sm.can_accept sm do
@@ -441,11 +224,43 @@ let sharded_body ~cfg ~deadline ~domains factory (kinfo : Kinfo.t)
       incr next_tb
     done
   in
-  (* Advance SM [i] to epoch end [e]: the serial loop's per-SM schedule
-     (fast-forward to the wake-up, step there) with two extra exits —
-     done (idle with dispatch closed) and paused (retired a TB with
-     dispatch open). [open_] is the epoch's dispatch snapshot; only the
-     driver moves [next_tb], so it is exact for the whole epoch. *)
+  let fast_forward i c =
+    let sm = sms.(i) in
+    let span = c - Sm.cycle sm in
+    if span > 0 then begin
+      elided.(i) <- elided.(i) + span;
+      Sm.fast_forward sm ~to_:c
+    end
+  in
+  (* One move of SM [i] along its wake calendar towards cycle [e]:
+     fast-forward to just before the wake-up and step there, or to [e]
+     when the wake-up lies beyond it. True when it stepped. *)
+  let move i e =
+    let wake = wakes.(i) in
+    if wake > e then begin
+      fast_forward i e;
+      false
+    end
+    else begin
+      fast_forward i (wake - 1);
+      Sm.step sms.(i);
+      wakes.(i) <- next_wake sms.(i);
+      true
+    end
+  in
+  (* Bring a stopped SM (done, or never given a TB) to cycle [c] by the
+     same schedule, from its stored wake-up: idle SMs still step at
+     their sampling boundaries, and at every cycle with fast-forward
+     off. *)
+  let settle i c =
+    while Sm.cycle sms.(i) < c do
+      ignore (move i c)
+    done
+  in
+  (* Advance SM [i] to epoch end [e], with two early exits — done (idle
+     with dispatch closed) and paused (retired a TB with dispatch open).
+     [open_] is the epoch's dispatch snapshot; only the barrier code moves
+     [next_tb], so it is exact for the whole epoch. *)
   let advance ~open_ i e =
     let sm = sms.(i) in
     let continue = ref (done_at.(i) < 0) in
@@ -455,34 +270,17 @@ let sharded_body ~cfg ~deadline ~domains factory (kinfo : Kinfo.t)
         continue := false
       end
       else if Sm.cycle sm >= e then continue := false
-      else begin
-        let wake = wakes.(i) in
-        if wake = max_int then begin
-          (* never wakes inside this epoch (idle or deadlocked: the
-             watchdog accounting happens at the barrier) *)
-          Sm.fast_forward sm ~to_:e;
-          continue := false
-        end
-        else begin
-          if wake > Sm.cycle sm + 1 then
-            Sm.fast_forward sm ~to_:(min (wake - 1) e);
-          if Sm.cycle sm < e then begin
-            Sm.step sm;
-            wakes.(i) <- Sm.next_event_cycle sm;
-            let r = Sm.tbs_retired sm in
-            if open_ && r <> retired_seen.(i) then begin
-              retired_seen.(i) <- r;
-              pauses.(i) <- Sm.cycle sm;
-              continue := false
-            end
-          end
-          else continue := false
-        end
+      else if
+        move i e && open_ && Sm.tbs_retired sm <> retired_seen.(i)
+      then begin
+        retired_seen.(i) <- Sm.tbs_retired sm;
+        pauses.(i) <- Sm.cycle sm;
+        continue := false
       end
     done
   in
   (* --- persistent worker domains, released epoch-by-epoch ----------- *)
-  let nworkers = min domains (max 1 num_sms) in
+  let nworkers = resolve_domains cfg in
   let shard_lo w = w * num_sms / nworkers in
   let m = Mutex.create () in
   let cv_go = Condition.create () in
@@ -495,7 +293,7 @@ let sharded_body ~cfg ~deadline ~domains factory (kinfo : Kinfo.t)
   let worker_exn = ref None in
   let worker_busy_ns = Array.make nworkers 0 in
   let run_shard w ~open_ e =
-    let t0 = Tel.elapsed_ns () in
+    let t0 = if nworkers > 1 then Tel.elapsed_ns () else 0 in
     (try
        for i = shard_lo w to shard_lo (w + 1) - 1 do
          advance ~open_ i e
@@ -504,12 +302,13 @@ let sharded_body ~cfg ~deadline ~domains factory (kinfo : Kinfo.t)
        Mutex.lock m;
        if !worker_exn = None then worker_exn := Some exn;
        Mutex.unlock m);
-    worker_busy_ns.(w) <- worker_busy_ns.(w) + (Tel.elapsed_ns () - t0)
+    if nworkers > 1 then
+      worker_busy_ns.(w) <- worker_busy_ns.(w) + (Tel.elapsed_ns () - t0)
   in
-  (* shard 0 runs on the driver domain itself, so only shards 1..n-1
-     get a spawned worker: at every barrier the driver has real work
-     instead of parking on the condition variable, saving one domain
-     handoff per epoch *)
+  (* shard 0 runs on the calling domain itself, so only shards 1..n-1
+     get a spawned worker: at every barrier the calling domain has real
+     work instead of parking on the condition variable, saving one
+     domain handoff per epoch *)
   let worker w =
     let sp = Tel.begin_span ~args:[ ("worker", Tel.Int w) ] "sim.shard" in
     let my_epoch = ref 0 in
@@ -554,13 +353,10 @@ let sharded_body ~cfg ~deadline ~domains factory (kinfo : Kinfo.t)
     end;
     match !worker_exn with Some exn -> raise exn | None -> ()
   in
-  let catch_up at =
-    Array.iter
-      (fun sm -> if Sm.cycle sm < at then Sm.fast_forward sm ~to_:at)
-      sms
-  in
   let diag ~at ~cycles () =
-    catch_up at;
+    for i = 0 to num_sms - 1 do
+      settle i at
+    done;
     let attr = Obs.Attrib.create () in
     Array.iter (fun sm -> Obs.Attrib.add attr (Sm.attribution sm)) sms;
     {
@@ -568,18 +364,16 @@ let sharded_body ~cfg ~deadline ~domains factory (kinfo : Kinfo.t)
       d_engine = Sm.engine_name sms.(0);
       d_warps = List.concat_map Sm.warp_snapshots (Array.to_list sms);
       d_attribution = Obs.Attrib.to_assoc attr;
-      d_events = [];
       d_notes = merge_notes (Array.to_list (Array.map Sm.debug_state sms));
     }
   in
-  let started = Sys.time () in
-  let hb_t0 = Tel.elapsed_ns () in
+  let started = Tel.elapsed_ns () in
   let tel_epochs = ref 0 and tel_pauses = ref 0 and tel_batched = ref 0 in
   let tel_arms = ref 0 in
   let idle = ref 0 in
   let error = ref None in
   let finished = ref None in
-  (* the serial loop's pre-loop dispatch scan: fill every SM *)
+  (* the initial dispatch scan: fill every SM *)
   for i = 0 to num_sms - 1 do
     launch i 0
   done;
@@ -596,148 +390,157 @@ let sharded_body ~cfg ~deadline ~domains factory (kinfo : Kinfo.t)
   in
   (try
      while !error = None && !finished = None do
-          (* earliest wake-up among live SMs decides where the next
-             barrier may land: no SM steps before it, so every DRAM
-             request of the epoch still completes after [e] *)
-          let s = ref max_int in
-          for i = 0 to num_sms - 1 do
-            if done_at.(i) < 0 && wakes.(i) < !s then s := wakes.(i)
-          done;
-          let e =
-            if !s = max_int then !b + slack (* deadlock: keep advancing *)
-            else !s + slack - 1
-          in
-          let e =
-            if cfg.Config.watchdog_cycles > 0 then
-              min e (!b + cfg.Config.watchdog_cycles - !idle)
-            else e
-          in
-          let e = min e cfg.Config.max_cycles in
-          let e = max e (!b + 1) in
-          incr tel_epochs;
-          run_epoch e;
-          (* serial dispatch replay, in (cycle, SM index) order *)
-          let rec resolve () =
-            let best = ref (-1) in
-            Array.iteri
-              (fun i c ->
-                if
-                  c >= 0
-                  && (!best < 0
-                     || c < pauses.(!best)
-                     || (c = pauses.(!best) && i < !best))
-                then best := i)
-              pauses;
-            if !best >= 0 then begin
-              let i = !best in
-              let c = pauses.(i) in
-              pauses.(i) <- -1;
-              incr tel_pauses;
-              launch i c;
-              advance ~open_:(!next_tb < ntbs) i e;
-              resolve ()
-            end
-          in
-          resolve ();
-          tel_batched := !tel_batched + Sm.commit_epoch ~dram sms;
-          for i = 0 to num_sms - 1 do
-            if done_at.(i) < 0 then wakes.(i) <- Sm.next_event_cycle sms.(i)
-          done;
-          if Array.for_all (fun d -> d >= 0) done_at then
-            (* the serial loop exits right after the cycle of the last
-               retirement; lagging SMs are caught up below *)
-            finished := Some (Array.fold_left max 0 done_at)
-          else begin
-            (* Deadlock watchdog, evaluated at the barrier from per-SM
-               timestamps: idle spans the checks the serial loop would
-               have made since the later of last token movement + 1 and
-               the last writeback (in-flight work drains exactly there).
-               The epoch caps above make the count hit [watchdog_cycles]
-               exactly at a barrier — the serial firing cycle. *)
-            if cfg.Config.watchdog_cycles > 0 then begin
-              let inflight =
-                Array.fold_left
-                  (fun acc sm -> acc + Sm.inflight_count sm)
-                  0 sms
-              in
-              let prev_idle = !idle in
-              if inflight > 0 then idle := 0
-              else begin
-                let f = ref 1 in
-                Array.iter
-                  (fun sm ->
-                    let p = Sm.last_progress sm + 1 in
-                    if p > !f then f := p;
-                    let wb = Sm.last_wb_cycle sm in
-                    if wb > !f then f := wb)
-                  sms;
-                idle := max 0 (e - !f + 1)
-              end;
-              if prev_idle = 0 && !idle > 0 then incr tel_arms;
-              if !idle >= cfg.Config.watchdog_cycles then
-                error :=
-                  Some
-                    (Sim_error.Deadlock
-                       {
-                         message =
-                           Printf.sprintf
-                             "no warp fetched, issued or skipped and no \
-                              operation was in flight for %d cycles"
-                             !idle;
-                         diag = diag ~at:e ~cycles:e ();
-                       })
-            end;
-            (* the serial loop only declares the bound exceeded when it
-               enters cycle max_cycles + 1, i.e. after the watchdog had
-               its chance at max_cycles *)
-            if !error = None && e >= cfg.Config.max_cycles then
-              error :=
-                Some
-                  (Sim_error.Cycle_bound
-                     {
-                       bound = cfg.Config.max_cycles;
-                       message =
-                         Printf.sprintf
-                           "simulation exceeded its cycle bound of %d cycles"
-                           cfg.Config.max_cycles;
-                       diag =
-                         diag ~at:cfg.Config.max_cycles
-                           ~cycles:(cfg.Config.max_cycles + 1) ();
-                     });
-            (match deadline with
-            | Some budget_s when !error = None ->
-              let elapsed = Sys.time () -. started in
-              if elapsed > budget_s then
-                error :=
-                  Some
-                    (Sim_error.Wall_timeout
-                       {
-                         budget_s;
-                         cycle = e;
-                         message =
-                           Printf.sprintf
-                             "wall-clock budget of %gs exhausted at cycle %d"
-                             budget_s e;
-                       })
-            | _ -> ());
-            if
-              !b lsr 16 <> e lsr 16
-              && Tel.Progress.mode () <> Tel.Progress.Off
-            then begin
-              let elapsed_s = float_of_int (Tel.elapsed_ns () - hb_t0) /. 1e9 in
-              Tel.Progress.cycles ~cycles:e
-                ~cycles_per_sec:
-                  (if elapsed_s <= 0.0 then 0.0
-                   else float_of_int e /. elapsed_s)
-                ~engine:(Sm.engine_name sms.(0))
-            end
-          end;
-          b := e
-        done
+       (* earliest wake-up among live SMs decides where the next
+          barrier may land: no SM steps before it, so every DRAM
+          request of the epoch still completes after [e] *)
+       let s = ref max_int in
+       for i = 0 to num_sms - 1 do
+         if done_at.(i) < 0 && wakes.(i) < !s then s := wakes.(i)
+       done;
+       let e =
+         if !s = max_int then !b + slack (* deadlock: keep advancing *)
+         else !s + slack - 1
+       in
+       let e =
+         if cfg.Config.watchdog_cycles > 0 then
+           min e (!b + cfg.Config.watchdog_cycles - !idle)
+         else e
+       in
+       let e = min e cfg.Config.max_cycles in
+       let e = max e (!b + 1) in
+       incr tel_epochs;
+       run_epoch e;
+       (* dispatch replay, in (cycle, SM index) order *)
+       let rec resolve () =
+         let best = ref (-1) in
+         Array.iteri
+           (fun i c ->
+             if
+               c >= 0
+               && (!best < 0
+                  || c < pauses.(!best)
+                  || (c = pauses.(!best) && i < !best))
+             then best := i)
+           pauses;
+         if !best >= 0 then begin
+           let i = !best in
+           let c = pauses.(i) in
+           pauses.(i) <- -1;
+           incr tel_pauses;
+           launch i c;
+           advance ~open_:(!next_tb < ntbs) i e;
+           resolve ()
+         end
+       in
+       resolve ();
+       tel_batched := !tel_batched + Sm.commit_epoch ~dram sms;
+       drain ();
+       for i = 0 to num_sms - 1 do
+         if done_at.(i) < 0 then wakes.(i) <- next_wake sms.(i)
+       done;
+       if Array.for_all (fun d -> d >= 0) done_at then
+         (* the run ends right after the cycle of the last retirement;
+            SMs that stopped earlier are settled below *)
+         finished := Some (Array.fold_left max 0 done_at)
+       else begin
+         (* Deadlock watchdog, evaluated at the barrier from per-SM
+            timestamps: idle spans the per-cycle checks since the later
+            of last token movement + 1 and the last writeback (in-flight
+            work drains exactly there). The epoch caps above make the
+            count hit [watchdog_cycles] exactly at a barrier — the
+            cycle a per-cycle check fires at. *)
+         if cfg.Config.watchdog_cycles > 0 then begin
+           let inflight =
+             Array.fold_left (fun acc sm -> acc + Sm.inflight_count sm) 0 sms
+           in
+           let prev_idle = !idle in
+           if inflight > 0 then idle := 0
+           else begin
+             let f = ref 1 in
+             Array.iter
+               (fun sm ->
+                 let p = Sm.last_progress sm + 1 in
+                 if p > !f then f := p;
+                 let wb = Sm.last_wb_cycle sm in
+                 if wb > !f then f := wb)
+               sms;
+             idle := max 0 (e - !f + 1)
+           end;
+           if prev_idle = 0 && !idle > 0 then incr tel_arms;
+           if !idle >= cfg.Config.watchdog_cycles then
+             error :=
+               Some
+                 (Sim_error.Deadlock
+                    {
+                      message =
+                        Printf.sprintf
+                          "no warp fetched, issued or skipped and no \
+                           operation was in flight for %d cycles"
+                          !idle;
+                      diag = diag ~at:e ~cycles:e ();
+                    })
+         end;
+         (* the bound counts as exceeded only on entering cycle
+            max_cycles + 1, i.e. after the watchdog had its chance at
+            max_cycles *)
+         if !error = None && e >= cfg.Config.max_cycles then
+           error :=
+             Some
+               (Sim_error.Cycle_bound
+                  {
+                    bound = cfg.Config.max_cycles;
+                    message =
+                      Printf.sprintf
+                        "simulation exceeded its cycle bound of %d cycles"
+                        cfg.Config.max_cycles;
+                    diag =
+                      diag ~at:cfg.Config.max_cycles
+                        ~cycles:(cfg.Config.max_cycles + 1) ();
+                  });
+         (match deadline with
+         | Some budget_s when !error = None ->
+           let elapsed = float_of_int (Tel.elapsed_ns () - started) /. 1e9 in
+           if elapsed > budget_s then
+             error :=
+               Some
+                 (Sim_error.Wall_timeout
+                    {
+                      budget_s;
+                      cycle = e;
+                      message =
+                        Printf.sprintf
+                          "wall-clock budget of %gs exhausted at cycle %d"
+                          budget_s e;
+                    })
+         | _ -> ());
+         if !b lsr 16 <> e lsr 16 && Tel.Progress.mode () <> Tel.Progress.Off
+         then begin
+           let elapsed_s = float_of_int (Tel.elapsed_ns () - started) /. 1e9 in
+           Tel.Progress.cycles ~cycles:e
+             ~cycles_per_sec:
+               (if elapsed_s <= 0.0 then 0.0 else float_of_int e /. elapsed_s)
+             ~engine:(Sm.engine_name sms.(0))
+         end
+       end;
+       b := e
+     done
    with exn ->
      stop_workers ();
      raise exn);
   stop_workers ();
+  let result =
+    match (!error, !finished) with
+    | Some e, _ -> Stdlib.Error e
+    | None, Some cycles ->
+      for i = 0 to num_sms - 1 do
+        settle i cycles
+      done;
+      drain ();
+      Ok (assemble ~cycles ~tbs_per_sm kernel sms)
+    | None, None -> assert false
+  in
+  let elided = Array.fold_left ( + ) 0 elided / max 1 num_sms in
+  if elided > 0 then Tel.incr ~by:elided "ff.cycles_elided";
   if !tel_epochs > 0 then Tel.incr ~by:!tel_epochs "shard.epochs";
   if !tel_pauses > 0 then Tel.incr ~by:!tel_pauses "shard.pauses";
   if !tel_batched > 0 then Tel.incr ~by:!tel_batched "shard.dram_batched";
@@ -762,36 +565,13 @@ let sharded_body ~cfg ~deadline ~domains factory (kinfo : Kinfo.t)
               !busiest (100.0 *. share) nworkers)
      end
    end);
-  match !error with
-  | Some e -> Stdlib.Error e
-  | None ->
-    let cycles = match !finished with Some c -> c | None -> assert false in
-    catch_up cycles;
-    Ok
-      (assemble ~cycles ~sample_interval:None ~pcstat:false ~tbs_per_sm kernel
-         sms)
+  result
 
 let run ?(cfg = Config.default) ?(sink = Obs.Sink.null) ?sample_interval
-    ?(event_window = 0) ?deadline ?(pcstat = false) factory (kinfo : Kinfo.t)
-    (trace : Record.t) =
+    ?deadline ?(pcstat = false) factory (kinfo : Kinfo.t) (trace : Record.t) =
   let sp = Tel.begin_span "gpu.run" in
-  let domains = resolve_domains cfg in
-  (* The sharded loop trades away the per-cycle observability hooks; any
-     request for them (or a degenerate memory model whose requests could
-     complete inside an epoch) falls back to the serial loop, which is
-     always bit-identical anyway. *)
-  let sharded =
-    domains > 1 && (not pcstat)
-    && (not (Obs.Sink.enabled sink))
-    && event_window = 0 && sample_interval = None
-    && cfg.Config.l1_lat + cfg.Config.dram_lat >= 1
-  in
   match
-    if sharded then
-      sharded_body ~cfg ~deadline ~domains factory kinfo trace
-    else
-      run_body ~cfg ~sink ~sample_interval ~event_window ~deadline ~pcstat
-        factory kinfo trace
+    simulate ~cfg ~sink ~sample_interval ~deadline ~pcstat factory kinfo trace
   with
   | Ok r as res ->
     Tel.end_span
@@ -805,10 +585,10 @@ let run ?(cfg = Config.default) ?(sink = Obs.Sink.null) ?sample_interval
     Tel.end_span ~args:[ ("raised", Tel.Bool true) ] sp;
     raise e
 
-let run_exn ?cfg ?sink ?sample_interval ?event_window ?deadline ?pcstat
-    factory kinfo trace =
-  match run ?cfg ?sink ?sample_interval ?event_window ?deadline ?pcstat
-          factory kinfo trace
+let run_exn ?cfg ?sink ?sample_interval ?deadline ?pcstat factory kinfo trace
+    =
+  match
+    run ?cfg ?sink ?sample_interval ?deadline ?pcstat factory kinfo trace
   with
   | Ok r -> r
   | Stdlib.Error e -> raise (Sim_error.Simulation_error e)

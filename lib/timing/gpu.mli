@@ -37,7 +37,6 @@ val run :
   ?cfg:Config.t ->
   ?sink:Darsie_obs.Sink.t ->
   ?sample_interval:int ->
-  ?event_window:int ->
   ?deadline:float ->
   ?pcstat:bool ->
   Engine.factory ->
@@ -52,40 +51,36 @@ val run :
     false) turns on per-static-instruction profiling (the table behind
     [darsie annotate]).
 
-    When [cfg.fast_forward] is on (the default), idle spans where no SM
-    can make observable progress — every warp waiting on a memory return,
-    a barrier release or an I-cache fill — are skipped in one clock jump
-    to the earliest wake-up event ({!Sm.next_event_cycle}), bulk-charging
-    the skipped cycles into the same stall-attribution buckets stepping
-    would have filled. Results are bit-identical either way; [false]
-    forces the cycle-by-cycle path (the [--no-fast-forward] escape
-    hatch).
-
-    When [cfg.sm_domains] is not 1, the SM array is sharded across that
-    many OCaml domains (0 auto-sizes to the host), advancing in lockstep
-    epochs of at most [l1_lat + dram_lat] cycles with DRAM requests
-    replayed in canonical serial order at every epoch barrier. Sharding
-    is timing-invisible: results are bit-identical to the serial loop at
-    every domain count. Runs that request serial-only diagnostics
-    ([pcstat], a non-null [sink], [sample_interval] or [event_window])
-    fall back to the serial loop automatically.
+    The SM array is split into [cfg.sm_domains] shards (1 runs one shard
+    on the calling domain, 0 auto-sizes to the host); shard 0 runs on
+    the calling domain and every other shard on a worker domain. Shards
+    advance in epochs of at most [l1_lat + dram_lat] cycles, with DRAM
+    requests, threadblock dispatch and events replayed in canonical
+    per-cycle order at every epoch barrier. Within an epoch
+    each SM follows its own wake-up calendar: with [cfg.fast_forward] on
+    (the default), idle spans where an SM can make no observable
+    progress — every warp waiting on a memory return, a barrier release
+    or an I-cache fill — are skipped in one jump to its next wake-up
+    ({!Sm.next_event_cycle}), bulk-charging the skipped cycles into the
+    same stall-attribution buckets stepping would have filled; [false]
+    wakes every SM at every cycle (the [--no-fast-forward] escape hatch).
+    Results are bit-identical at every domain count with fast-forward on
+    or off, and with any observability hook requested.
 
     Failures come back as typed {!Darsie_check.Sim_error.t} values
-    carrying a diagnostic dump (per-warp state, stall attribution, engine
-    counters, and — when [event_window] > 0 — the last that many pipeline
-    events):
+    carrying a diagnostic dump (per-warp state, stall attribution,
+    engine counters):
     - [Cycle_bound] when the simulation exceeds [cfg.max_cycles];
     - [Deadlock] when, for [cfg.watchdog_cycles] consecutive cycles, no
       SM fetched, issued, dropped or skipped anything and nothing was
       between issue and writeback ([0] disables the watchdog);
-    - [Wall_timeout] when [deadline] (processor seconds for this run) is
-      exhausted. *)
+    - [Wall_timeout] when [deadline] (wall-clock seconds since this run
+      started) is exhausted; checked at epoch barriers. *)
 
 val run_exn :
   ?cfg:Config.t ->
   ?sink:Darsie_obs.Sink.t ->
   ?sample_interval:int ->
-  ?event_window:int ->
   ?deadline:float ->
   ?pcstat:bool ->
   Engine.factory ->

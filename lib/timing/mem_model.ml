@@ -124,10 +124,4 @@ module Dram = struct
     t.next_free + t.latency
 
   let busy_until t = t.next_free
-
-  (* Earliest future event on the channel: the queue draining. Individual
-     burst completions are tracked by the issuing SM's in-flight list;
-     this only bounds how far the fast-forward path may jump while the
-     channel is still serving transactions. *)
-  let next_event t ~now = if t.next_free > now then Some t.next_free else None
 end

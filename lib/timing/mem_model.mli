@@ -37,9 +37,4 @@ module Dram : sig
   (** Completion cycle for a burst of transactions issued at [now]. *)
 
   val busy_until : t -> int
-
-  val next_event : t -> now:int -> int option
-  (** Earliest future cycle the channel state changes (the queue drains),
-      or [None] when it is already idle. Bounds fast-forward jumps; the
-      per-burst completion cycles live in each SM's in-flight list. *)
 end

@@ -12,19 +12,18 @@ type slot_state = {
 type in_flight = {
   fly_warp : Engine.wctx;
   fly_op : Record.op;
-  (* Mutable for the sharded cycle loop only: a deferred DRAM request
-     carries a [max_int] placeholder until the epoch barrier replays the
-     queue and patches the real completion in ([commit_epoch]). The
-     serial loop never mutates it. *)
+  (* A deferred DRAM request carries a [max_int] placeholder until the
+     epoch barrier replays the queue and patches the real completion in
+     ([commit_epoch]). *)
   mutable finish : int;
   fly_mshrs : int;  (* MSHR entries this op holds until writeback *)
 }
 
-(* One deferred DRAM channel access (sharded cycle loop): everything
-   needed to replay [Mem_model.Dram.request] at the epoch barrier in
-   canonical order, plus the in-flight record whose placeholder finish
-   the replay patches ([None] for stores, whose pipeline latency does
-   not depend on the channel). *)
+(* One deferred DRAM channel access: everything needed to replay
+   [Mem_model.Dram.request] at the epoch barrier in canonical order,
+   plus the in-flight record whose placeholder finish the replay patches
+   ([None] for stores, whose pipeline latency does not depend on the
+   channel). *)
 type dram_req = {
   dq_now : int;  (* the [~now] the issue site would have passed *)
   dq_ntxns : int;
@@ -36,7 +35,6 @@ type t = {
   kinfo : Kinfo.t;
   stats : Stats.t;
   engine : Engine.t;
-  dram : Mem_model.Dram.t;
   l1 : Mem_model.L1.t;
   icache : Mem_model.L1.t;
   collectors : int array;  (* per-unit busy-until cycle *)
@@ -69,19 +67,23 @@ type t = {
      stay at their initial values when the knob is off. *)
   mutable smem_replay_until : int;
   mutable smem_replay_pc : int;
-  (* Sharded cycle loop (sm_domains > 1) bookkeeping; all dormant in the
-     serial loop. [dram_defer] routes issue-stage DRAM requests into
-     [dram_q] (reverse issue order) instead of the shared channel;
-     [dram_patch] carries the request between [dram_request] and the
-     [add_inflight] whose record it must patch. The remaining fields let
-     the epoch driver reproduce serial TB dispatch and the deadlock
-     watchdog exactly: [tbs_retired] is a monotone retirement counter
-     (a worker pauses at a retirement so the driver can replay the
-     serial dispatch scan), [last_wb_cycle] / [last_progress] timestamp
-     the most recent writeback and progress-token movement. *)
-  dram_defer : bool;
+  (* Epoch-loop bookkeeping. Issue-stage DRAM requests queue in
+     [dram_q] (reverse issue order) instead of reaching the shared
+     channel; [dram_patch] carries the request between [dram_request]
+     and the [add_inflight] whose record it must patch. The remaining
+     fields let the cycle loop reproduce per-cycle TB dispatch and the
+     deadlock watchdog exactly: [tbs_retired] is a monotone retirement
+     counter (a shard pauses at a retirement so the barrier can replay
+     the dispatch scan), [last_wb_cycle] / [last_progress] timestamp the
+     most recent writeback and progress-token movement. *)
   mutable dram_q : dram_req list;
   mutable dram_patch : dram_req option;
+  (* Per-PC stall charges (bucket, cycles, candidates) whose blamed
+     instruction depends on a placeholder completion, resolved by
+     [commit_epoch]; [blame_cands] carries the candidates from
+     [nearest_inflight_pc] to the charge site. *)
+  mutable blame_pending : (Obs.Attrib.bucket * int * in_flight list) list;
+  mutable blame_cands : in_flight list;
   mutable tbs_retired : int;
   mutable last_wb_cycle : int;
   mutable last_progress : int;
@@ -103,8 +105,8 @@ let sample_snapshot (s : Stats.t) =
     s.Stats.barrier_stall_cycles; s.Stats.darsie_sync_stalls;
   |]
 
-let create ?(sm_id = 0) ?(sink = Obs.Sink.null) ?series ?pcstat
-    ?(deferred_dram = false) cfg kinfo factory dram ~slots ~warps_per_tb =
+let create ?(sm_id = 0) ?(sink = Obs.Sink.null) ?series ?pcstat cfg kinfo
+    factory ~slots ~warps_per_tb =
   let stats = Stats.create () in
   let engine = factory kinfo cfg stats in
   (* The skip ledger is always on (a handful of int arrays); the engine
@@ -116,7 +118,6 @@ let create ?(sm_id = 0) ?(sink = Obs.Sink.null) ?series ?pcstat
     kinfo;
     stats;
     engine;
-    dram;
     l1 =
       Mem_model.L1.create ~bytes:cfg.Config.l1_bytes ~assoc:cfg.Config.l1_assoc
         ~line:cfg.Config.l1_line;
@@ -154,15 +155,16 @@ let create ?(sm_id = 0) ?(sink = Obs.Sink.null) ?series ?pcstat
     last_barrier_pc = -1;
     smem_replay_until = 0;
     smem_replay_pc = -1;
-    dram_defer = deferred_dram;
     dram_q = [];
     dram_patch = None;
+    blame_pending = [];
+    blame_cands = [];
     tbs_retired = 0;
     last_wb_cycle = 0;
-    (* 1, not 0: the serial watchdog's progress ref starts one compare
-       behind the token (initialized to -1), so even a machine that
-       never progresses is only charged idle from cycle 2 on — the same
-       lag this seed reproduces in the barrier-time idle formula. *)
+    (* 1, not 0: the per-cycle watchdog's progress ref starts one
+       compare behind the token (initialized to -1), so even a machine
+       that never progresses is only charged idle from cycle 2 on — the
+       same lag this seed reproduces in the barrier-time idle formula. *)
     last_progress = 1;
     progress_snapshot = 0;
   }
@@ -507,23 +509,20 @@ let mem_struct_blocked t (w : Engine.wctx) idx =
     && w.Engine.mshr_used >= cfg.Config.mshrs
   | Kinfo.Alu | Kinfo.Sfu | Kinfo.Ctrl -> false
 
-(* One DRAM channel access from the issue stage. The serial loop
-   consults the shared channel directly. A sharded SM defers: the
-   request is queued locally (no cross-domain traffic) under a
-   [max_int] placeholder completion, and the epoch barrier replays
-   every SM's queue against the real channel in canonical order
-   ([commit_epoch]), patching the in-flight records. Sound because the
-   epoch length is capped at [l1_lat + dram_lat]: a request issued
-   inside an epoch finishes strictly after it, so a placeholder is
-   never consulted before it is patched. *)
+(* One DRAM channel access from the issue stage. The request is queued
+   locally (no cross-domain traffic) under a [max_int] placeholder
+   completion, and the epoch barrier replays every SM's queue against
+   the shared channel in canonical order ([commit_epoch]), patching the
+   in-flight records. Sound because the epoch length is capped at
+   [l1_lat + dram_lat]: a request issued inside an epoch finishes
+   strictly after it, so no writeback falls due on a placeholder; the
+   one other reader of completions, the stall blame, waits for the
+   patch when a placeholder competes ([soonest]). *)
 let dram_request t ~now ~ntxns =
-  if not t.dram_defer then Mem_model.Dram.request t.dram ~now ~ntxns
-  else begin
-    let req = { dq_now = now; dq_ntxns = ntxns; dq_fly = None } in
-    t.dram_q <- req :: t.dram_q;
-    t.dram_patch <- Some req;
-    max_int
-  end
+  let req = { dq_now = now; dq_ntxns = ntxns; dq_fly = None } in
+  t.dram_q <- req :: t.dram_q;
+  t.dram_patch <- Some req;
+  max_int
 
 (* Issue one op from warp [w]; returns false if the head op cannot issue. *)
 let try_issue_head t budget (w : Engine.wctx) =
@@ -713,11 +712,13 @@ let try_issue_head t budget (w : Engine.wctx) =
                 end
               end
           in
+          (* a DRAM round trip's latency is noted when [commit_epoch]
+             patches its real completion in *)
           (match unit_class with
-          | Kinfo.Mem_global | Kinfo.Mem_shared ->
+          | (Kinfo.Mem_global | Kinfo.Mem_shared) when t.dram_patch = None ->
             pc_note t (fun p ->
                 Obs.Pcstat.note_mem_latency p ~pc:idx ~lat:(finish - t.cycle))
-          | Kinfo.Alu | Kinfo.Sfu | Kinfo.Ctrl -> ());
+          | _ -> ());
           (* Track every executed op for TB retirement; register release
              happens at writeback only for ops that write one. *)
           (match kinfo.Kinfo.dst_reg.(idx) with
@@ -936,20 +937,23 @@ let fetch t =
 (* Stall-cycle attribution                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* PC of the in-flight memory op finishing soonest for warp [w] (or for
-   any warp when [w] is [None]); the instruction a memory-bound cycle is
-   most fairly blamed on. -1 when nothing qualifies. Ties on the finish
-   cycle break toward the lower PC so the blame is independent of the
-   in-flight list's order — a requirement for fast-forward bit-identity,
-   since the stepped path rebuilds (and reorders) the list per cycle. *)
-let nearest_inflight_pc ?w t =
-  let best_fin = ref max_int in
-  let best_pc = ref (-1) in
+(* The blame rule over the [blamable] records of [inflight]: the PC of
+   the one finishing soonest, -1 when nothing qualifies. Ties on the
+   finish cycle break toward the lower PC so the blame is independent of
+   the list's order — a requirement for fast-forward bit-identity, since
+   the stepped path rebuilds (and reorders) the list per cycle. When a
+   DRAM request still carrying its epoch placeholder competes with
+   another candidate the winner is not known yet: [deferred_pc]. *)
+let deferred_pc = -2
+
+let soonest ~blamable inflight =
+  let best_fin = ref max_int and best_pc = ref (-1) in
+  let n = ref 0 and placeholder = ref false in
   List.iter
     (fun f ->
-      let mine = match w with None -> true | Some w -> f.fly_warp == w in
-      let is_mem = is_mem_class t f.fly_op.Record.idx in
-      if mine && (w = None || is_mem) then begin
+      if blamable f then begin
+        incr n;
+        if f.finish = max_int then placeholder := true;
         let pc = f.fly_op.Record.idx in
         if
           f.finish < !best_fin
@@ -959,8 +963,31 @@ let nearest_inflight_pc ?w t =
           best_pc := pc
         end
       end)
-    t.inflight;
-  !best_pc
+    inflight;
+  if !placeholder && !n > 1 then deferred_pc else !best_pc
+
+(* PC of the in-flight memory op finishing soonest for warp [w] (or of
+   any op when [w] is [None]); the instruction a memory-bound cycle is
+   most fairly blamed on. A [deferred_pc] result leaves its candidates
+   in [blame_cands] for the charge site. *)
+let nearest_inflight_pc ?w t =
+  let blamable f =
+    match w with
+    | None -> true
+    | Some w -> f.fly_warp == w && is_mem_class t f.fly_op.Record.idx
+  in
+  let pc = soonest ~blamable t.inflight in
+  if pc = deferred_pc && t.pcstat <> None then
+    t.blame_cands <- List.filter blamable t.inflight;
+  pc
+
+(* Charge [n] cycles of [bucket] to the blamed PC in the per-PC profile,
+   or hold them for [commit_epoch] when the blame is deferred. *)
+let charge_pc t bucket pc n =
+  pc_note t (fun p ->
+      if pc = deferred_pc then
+        t.blame_pending <- (bucket, n, t.blame_cands) :: t.blame_pending
+      else Obs.Pcstat.charge_n p ~pc bucket ~n)
 
 let head_pc (w : Engine.wctx) =
   match Queue.peek_opt w.Engine.ibuf with
@@ -1127,10 +1154,10 @@ let step t =
   fetch t;
   let bucket, blocking_pc = classify_cycle t in
   Obs.Attrib.bump t.attr bucket;
-  pc_note t (fun p -> Obs.Pcstat.charge p ~pc:blocking_pc bucket);
-  (* Sharded-loop watchdog bookkeeping: remember the last cycle this SM
-     fetched, issued, dropped or skipped anything (mirrors the serial
-     loop's global [progress_token] comparison). *)
+  charge_pc t bucket blocking_pc 1;
+  (* Watchdog bookkeeping: remember the last cycle this SM fetched,
+     issued, dropped or skipped anything (mirrors a per-cycle global
+     [progress_token] comparison). *)
   let tok = progress_token t in
   if tok <> t.progress_snapshot then begin
     t.progress_snapshot <- tok;
@@ -1147,8 +1174,9 @@ let step t =
 
 (* Earliest future cycle at which stepping this SM could do anything
    observable, evaluated between two [step] calls. [max_int] means "no
-   event will ever fire here" (an idle or deadlocked SM — deadlocks must
-   keep stepping so the watchdog sees them). The computation is
+   event will ever fire here" (an idle or deadlocked SM — the cycle loop
+   fast-forwards it, and the watchdog judges the frozen span). The
+   computation is
    deliberately conservative: any doubt returns [cycle + 1], which just
    disables jumping for a cycle. Sources:
 
@@ -1267,7 +1295,7 @@ let fast_forward t ~to_ =
     t.cycle <- to_;
     t.stats.Stats.cycles <- to_;
     Obs.Attrib.bump_n t.attr bucket span;
-    pc_note t (fun p -> Obs.Pcstat.charge_n p ~pc:blocking_pc bucket ~n:span);
+    charge_pc t bucket blocking_pc span;
     (* the stepped path bumps these once per no-progress cycle *)
     if Array.length t.warps > 0 then
       t.stats.Stats.fetch_stall_cycles <-
@@ -1286,8 +1314,8 @@ let fast_forward t ~to_ =
     (* the engine's skip phase would have run once per skipped cycle *)
     t.engine.Engine.bulk_skip ~cycle:to_ ~n:span;
     t.engine.Engine.on_fast_forward ~cycle:to_;
-    (* bulk_skip can advance the skip counters, which the serial
-       watchdog counts as progress at the landing cycle *)
+    (* bulk_skip can advance the skip counters, which the watchdog
+       counts as progress at the landing cycle *)
     let tok = progress_token t in
     if tok <> t.progress_snapshot then begin
       t.progress_snapshot <- tok;
@@ -1296,7 +1324,7 @@ let fast_forward t ~to_ =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Epoch-batched DRAM commit (sharded cycle loop)                      *)
+(* Epoch-batched DRAM commit                                           *)
 (* ------------------------------------------------------------------ *)
 
 let tbs_retired t = t.tbs_retired
@@ -1304,27 +1332,30 @@ let last_wb_cycle t = t.last_wb_cycle
 let last_progress t = t.last_progress
 
 (* Replay every SM's deferred DRAM requests against the real channel in
-   canonical serial order and patch the placeholder completions. The
-   serial loop steps SMs cycle-by-cycle in SM-index order, so the shared
-   channel observes requests ordered by (issue cycle, SM index, per-SM
-   issue sequence). Each deferred request carries [dq_now] =
-   issue cycle + l1_lat — the same constant offset for every site — so
-   sorting by [dq_now] recovers the cycle order, a stable sort over the
-   sm_id-ordered concatenation breaks ties by SM index, and each per-SM
-   queue is already in issue order (reversed from the cons list).
-   Returns the number of requests replayed (for telemetry). *)
+   canonical order and patch the placeholder completions. Stepping SMs
+   cycle by cycle in SM-index order, the shared channel would observe
+   requests ordered by (issue cycle, SM index, per-SM issue sequence).
+   Each deferred request carries [dq_now] = issue cycle + l1_lat — the
+   same constant offset for every site — so sorting by [dq_now] recovers
+   the cycle order, a stable sort over the sm_id-ordered concatenation
+   breaks ties by SM index, and each per-SM queue is already in issue
+   order (reversed from the cons list). With the real completions known,
+   the per-PC profile receives each patched load's latency and the stall
+   charges whose blame waited on them. Returns the number of requests
+   replayed (for telemetry). *)
 let commit_epoch ~dram sms =
   let runs = ref [] in
   Array.iter
     (fun t ->
       if t.dram_q <> [] then begin
         (* cons list -> issue order *)
-        runs := List.rev t.dram_q :: !runs;
+        runs := (t, List.rev t.dram_q) :: !runs;
         t.dram_q <- []
       end)
     sms;
+  let runs = List.rev !runs in
   (* sm_id-ordered concatenation of issue-ordered runs *)
-  let reqs = List.concat (List.rev !runs) in
+  let reqs = List.concat_map snd runs in
   match reqs with
   | [] -> 0
   | _ ->
@@ -1338,12 +1369,26 @@ let commit_epoch ~dram sms =
         | Some fly -> fly.finish <- finish
         | None -> ())
       ordered;
-    (* Placeholder finishes were [max_int], which never lowered
-       [next_wb]; recompute it from the patched list. *)
-    Array.iter
-      (fun t ->
-        if t.inflight <> [] then
-          t.next_wb <-
-            List.fold_left (fun acc f -> min acc f.finish) max_int t.inflight)
-      sms;
+    List.iter
+      (fun (t, reqs) ->
+        pc_note t (fun p ->
+            List.iter
+              (fun req ->
+                match req.dq_fly with
+                | Some fly ->
+                  let issued = req.dq_now - t.cfg.Config.l1_lat in
+                  Obs.Pcstat.note_mem_latency p ~pc:fly.fly_op.Record.idx
+                    ~lat:(fly.finish - issued)
+                | None -> ())
+              reqs;
+            List.iter
+              (fun (bucket, n, cands) ->
+                charge_pc t bucket (soonest ~blamable:(fun _ -> true) cands) n)
+              t.blame_pending;
+            t.blame_pending <- []);
+        (* Placeholder finishes were [max_int], which never lowered
+           [next_wb]; recompute it from the patched list. *)
+        t.next_wb <-
+          List.fold_left (fun acc f -> min acc f.finish) max_int t.inflight)
+      runs;
     List.length ordered

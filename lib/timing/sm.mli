@@ -19,11 +19,9 @@ val create :
   ?sink:Darsie_obs.Sink.t ->
   ?series:Darsie_obs.Series.t ->
   ?pcstat:Darsie_obs.Pcstat.t ->
-  ?deferred_dram:bool ->
   Config.t ->
   Kinfo.t ->
   Engine.factory ->
-  Mem_model.Dram.t ->
   slots:int ->
   warps_per_tb:int ->
   t
@@ -32,10 +30,9 @@ val create :
     given, receives an interval-sampled counter snapshot (see
     {!sample_names}); [pcstat], when given, receives per-static-PC
     occurrence counters and a per-cycle stall charge mirroring
-    {!attribution}; [deferred_dram] (default false, sharded cycle loop
-    only) queues issue-stage DRAM requests locally under a placeholder
-    completion until {!commit_epoch} replays them against the shared
-    channel. *)
+    {!attribution}. Issue-stage DRAM requests queue locally under a
+    placeholder completion until {!commit_epoch} replays them against
+    the shared channel. *)
 
 val can_accept : t -> bool
 (** Has a free threadblock slot. *)
@@ -55,9 +52,9 @@ val next_event_cycle : t -> int
     scoreboard-ready instruction-buffer head, a fetch-latency expiry, the
     next time-series sampling boundary, or "runnable now" whenever the
     plugged-in engine's skip phase was not a no-op last cycle. [max_int]
-    means no event will ever fire (idle, or deadlocked — deadlocks must
-    keep stepping so the watchdog sees them). Valid between two {!step}
-    calls; conservative by construction. *)
+    means no event will ever fire (idle, or deadlocked — the cycle loop
+    fast-forwards it and the watchdog judges the frozen span). Valid
+    between two {!step} calls; conservative by construction. *)
 
 val fast_forward : t -> to_:int -> unit
 (** Jump the clock to [to_] without stepping, bulk-charging the skipped
@@ -102,25 +99,27 @@ val progress_token : t -> int
     when every SM's token freezes with nothing in flight. *)
 
 val tbs_retired : t -> int
-(** Monotone count of threadblocks this SM has retired. The sharded
-    cycle loop's workers pause an SM whenever this advances so the epoch
-    driver can replay the serial loop's dispatch scan at the exact
-    retirement instant. *)
+(** Monotone count of threadblocks this SM has retired. The cycle loop
+    pauses an SM whenever this advances so the epoch barrier can replay
+    the dispatch scan at the exact retirement instant. *)
 
 val last_wb_cycle : t -> int
 (** Cycle of this SM's most recent writeback (0 before any). With
-    {!last_progress}, lets the epoch driver evaluate the serial deadlock
-    watchdog exactly at epoch barriers. *)
+    {!last_progress}, lets the cycle loop evaluate the per-cycle
+    deadlock watchdog exactly at epoch barriers. *)
 
 val last_progress : t -> int
 (** Most recent cycle at which this SM's {!progress_token} advanced
-    (1 before any, mirroring the serial watchdog's one-compare lag). *)
+    (1 before any, mirroring the per-cycle watchdog's one-compare
+    lag). *)
 
 val commit_epoch : dram:Mem_model.Dram.t -> t array -> int
-(** Epoch barrier of the sharded cycle loop: drain every SM's deferred
-    DRAM queue, replay the requests against [dram] in canonical serial
-    (cycle, SM index, issue sequence) order, patch the placeholder
-    completions of the affected in-flight records, and restore each SM's
+(** Epoch barrier of the cycle loop: drain every SM's deferred DRAM
+    queue, replay the requests against [dram] in canonical (cycle, SM
+    index, issue sequence) order — the order the channel would see if
+    every SM stepped every cycle in index order — patch the placeholder
+    completions of the affected in-flight records, note each patched
+    load's latency in the per-PC profile, and restore each SM's
     earliest-writeback bound. Sound because the epoch length never
     exceeds [l1_lat + dram_lat], so no deferred request can complete
     within the epoch that issued it. Returns the number of requests

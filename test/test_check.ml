@@ -122,6 +122,44 @@ let test_wall_timeout () =
   | Error e ->
     Alcotest.failf "expected wall_timeout, got %s" (Sim_error.kind_name e)
 
+(* The deadline is wall-clock time of the run itself: a budget of 1.5x
+   the run's solo wall time must still suffice while another domain
+   spins (processor time summed over domains would exhaust it at about
+   0.75x). Needs a second core; a loaded host gets three attempts. *)
+let test_wall_budget_beside_busy_domain () =
+  if Domain.recommended_domain_count () < 2 then Alcotest.skip ();
+  let kinfo, trace = small_trace () in
+  let cfg =
+    {
+      Config.default with
+      Config.watchdog_cycles = 0;
+      max_cycles = 400_000;
+      fast_forward = false;
+    }
+  in
+  let run ?deadline () = Gpu.run ~cfg ?deadline stuck_factory kinfo trace in
+  let attempt () =
+    let t0 = Unix.gettimeofday () in
+    ignore (run ());
+    let solo = Unix.gettimeofday () -. t0 in
+    let stop = Atomic.make false in
+    let spinner =
+      Domain.spawn (fun () ->
+          while not (Atomic.get stop) do
+            Domain.cpu_relax ()
+          done)
+    in
+    let outcome = run ~deadline:(1.5 *. solo) () in
+    Atomic.set stop true;
+    Domain.join spinner;
+    match outcome with
+    | Error (Sim_error.Cycle_bound _) -> true
+    | Error (Sim_error.Wall_timeout _) -> false
+    | _ -> Alcotest.fail "expected the run to end at its cycle bound"
+  in
+  check_bool "budgeted run completes beside a spinning domain" true
+    (attempt () || attempt () || attempt ())
+
 let test_clean_run_still_ok () =
   let kinfo, trace = small_trace () in
   let cfg = { Config.default with Config.watchdog_cycles = 50 } in
@@ -430,28 +468,6 @@ let test_check_report_json () =
   | Error _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Event ring                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_ring () =
-  let ev i =
-    { Obs.Event.cycle = i; sm = 0; warp = 0; kind = Obs.Event.Fetch }
-  in
-  let r = Obs.Ring.create ~cap:4 in
-  check_int "empty" 0 (List.length (Obs.Ring.events r));
-  for i = 0 to 5 do
-    Obs.Ring.add r (ev i)
-  done;
-  check_int "keeps the last cap" 4 (List.length (Obs.Ring.events r));
-  check_int "counts everything" 6 (Obs.Ring.total r);
-  Alcotest.(check (list int))
-    "oldest first" [ 2; 3; 4; 5 ]
-    (List.map (fun e -> e.Obs.Event.cycle) (Obs.Ring.events r));
-  Obs.Ring.clear r;
-  check_int "cleared" 0 (List.length (Obs.Ring.events r));
-  check_int "total reset" 0 (Obs.Ring.total r)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "check"
@@ -463,6 +479,8 @@ let () =
           Alcotest.test_case "deadlock detected" `Quick test_watchdog_deadlock;
           Alcotest.test_case "cycle bound" `Quick test_cycle_bound;
           Alcotest.test_case "wall timeout" `Quick test_wall_timeout;
+          Alcotest.test_case "wall budget beside a busy domain" `Quick
+            test_wall_budget_beside_busy_domain;
           Alcotest.test_case "clean run unaffected" `Quick test_clean_run_still_ok;
         ] );
       ( "emu-deadlock",
@@ -489,5 +507,4 @@ let () =
           Alcotest.test_case "full pass" `Quick test_checker_full_pass;
           Alcotest.test_case "json report" `Quick test_check_report_json;
         ] );
-      ( "ring", [ Alcotest.test_case "bounded events" `Quick test_ring ] );
     ]

@@ -212,16 +212,6 @@ let test_charge_n () =
     (Obs.Attrib.to_assoc (Obs.Pcstat.bucket_totals bulk)
     = Obs.Attrib.to_assoc (Obs.Pcstat.bucket_totals unit))
 
-let test_dram_next_event () =
-  let d = Mem_model.Dram.create ~txn_cycles:2 ~latency:100 in
-  check_bool "idle channel has no event" true
-    (Mem_model.Dram.next_event d ~now:0 = None);
-  ignore (Mem_model.Dram.request d ~now:0 ~ntxns:3);
-  check_bool "busy channel drains at next_free" true
-    (Mem_model.Dram.next_event d ~now:0 = Some (Mem_model.Dram.busy_until d));
-  check_bool "past the drain point there is no event" true
-    (Mem_model.Dram.next_event d ~now:(Mem_model.Dram.busy_until d) = None)
-
 (* ------------------------------------------------------------------ *)
 (* Whole-suite differential: all 13 apps x all 7 machines              *)
 (* ------------------------------------------------------------------ *)
@@ -325,7 +315,6 @@ let () =
         [
           Alcotest.test_case "attrib bump_n" `Quick test_bump_n;
           Alcotest.test_case "pcstat charge_n" `Quick test_charge_n;
-          Alcotest.test_case "dram next_event" `Quick test_dram_next_event;
         ] );
       ( "differential",
         [

@@ -96,7 +96,7 @@ let test_matrix_determinism () =
 
 let test_checker_determinism () =
   let strip_elapsed json =
-    (* elapsed_s is processor time and legitimately varies; every other
+    (* elapsed_s is wall-clock time and legitimately varies; every other
        field of the check report must not. *)
     match json with
     | J.Obj fields ->

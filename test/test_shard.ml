@@ -1,13 +1,17 @@
-(* Differential tests for the sharded cycle loop: splitting one
-   simulation's SM array across OCaml domains (sm_domains > 1) must be
-   bit-identical to serial stepping — same cycles, stats, attribution
-   and ledgers on every app, machine, fidelity knob and fast-forward
-   setting, and the watchdog / cycle-bound error paths must fire at
-   exactly the same cycle with the same message. *)
+(* Differential tests for the cycle loop. [Gpu.run] advances the SM
+   array in epochs — sharded across OCaml domains, with per-SM wake
+   calendars (fast-forward) and DRAM, dispatch and events replayed at
+   barriers. Here it must reproduce a lockstep reference that steps
+   every SM every cycle: same cycles, per-SM stats, attribution,
+   ledgers, per-PC profile, series and recorded event stream, at 1, 2
+   and 4 domains with fast-forward on and off, on crafted kernels and
+   every app x machine; the watchdog / cycle-bound error paths must fire
+   at exactly the reference's cycle with the same attribution. *)
 
 open Darsie_isa
 open Darsie_timing
 module Obs = Darsie_obs
+module Record = Darsie_trace.Record
 module Sim_error = Darsie_check.Sim_error
 module W = Darsie_workloads.Workload
 module Suite = Darsie_harness.Suite
@@ -17,16 +21,257 @@ let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
 
-let check_string = Alcotest.(check string)
-
-let domains n cfg = { cfg with Config.sm_domains = n }
-
-let ff_off cfg = { cfg with Config.fast_forward = false }
-
 let fidelity cfg = { cfg with Config.issue_width = 2; mshrs = 8 }
 
 (* ------------------------------------------------------------------ *)
-(* Crafted-kernel differential harness                                 *)
+(* The lockstep reference                                              *)
+(* ------------------------------------------------------------------ *)
+
+type outcome =
+  | Finished of int  (** cycles *)
+  | Failed of string * int  (** error kind, diagnostic cycle *)
+
+(* The plainest cycle loop: every SM steps every cycle in SM order, then
+   the deferred DRAM queue is committed and the dispatch scan fills free
+   slots. The deadlock watchdog fires when the summed progress tokens
+   stay frozen with nothing in flight for [watchdog_cycles] per-cycle
+   checks (the first check only records the token), and the cycle bound
+   when cycle [max_cycles + 1] would begin. *)
+let lockstep ~cfg ~sink ~sample_interval factory (kinfo : Kinfo.t)
+    (trace : Record.t) =
+  let warps_per_tb = Record.warps_per_tb trace in
+  let slots = Gpu.occupancy cfg kinfo.Kinfo.kernel ~warps_per_tb in
+  let n = Array.length kinfo.Kinfo.kernel.Kernel.insts in
+  let sms =
+    Array.init cfg.Config.num_sms (fun i ->
+        let series =
+          Obs.Series.create ~interval:sample_interval ~names:Sm.sample_names
+        in
+        Sm.create ~sm_id:i ~sink ~series ~pcstat:(Obs.Pcstat.create ~n) cfg
+          kinfo factory ~slots ~warps_per_tb)
+  in
+  let dram =
+    Mem_model.Dram.create ~txn_cycles:cfg.Config.dram_txn_cycles
+      ~latency:cfg.Config.dram_lat
+  in
+  let ntbs = Record.num_tbs trace and next_tb = ref 0 in
+  let dispatch () =
+    Array.iter
+      (fun sm ->
+        while !next_tb < ntbs && Sm.can_accept sm do
+          Sm.launch_tb sm ~tb_id:!next_tb ~traces:trace.Record.tbs.(!next_tb);
+          incr next_tb
+        done)
+      sms
+  in
+  let sum f = Array.fold_left (fun acc sm -> acc + f sm) 0 sms in
+  let cycle = ref 0 and progress = ref (-1) and idle = ref 0 in
+  let outcome = ref None in
+  dispatch ();
+  while !outcome = None do
+    if not (Array.exists Sm.busy sms || !next_tb < ntbs) then
+      outcome := Some (Finished !cycle)
+    else if !cycle = cfg.Config.max_cycles then
+      outcome := Some (Failed ("cycle_bound", !cycle + 1))
+    else begin
+      incr cycle;
+      Array.iter Sm.step sms;
+      ignore (Sm.commit_epoch ~dram sms);
+      dispatch ();
+      let token = sum Sm.progress_token in
+      if token <> !progress || sum Sm.inflight_count > 0 then begin
+        progress := token;
+        idle := 0
+      end
+      else begin
+        incr idle;
+        if !idle = cfg.Config.watchdog_cycles then
+          outcome := Some (Failed ("deadlock", !cycle))
+      end
+    end
+  done;
+  (Option.get !outcome, sms)
+
+(* ------------------------------------------------------------------ *)
+(* Fingerprints                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let render kvs =
+  String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) kvs)
+
+let assoc a = render (Obs.Attrib.to_assoc a)
+
+(* Recorded events are compared as lists; on mismatch the first
+   differing event is rendered. *)
+let check_events label expected actual =
+  if expected <> actual then begin
+    let rec first i = function
+      | a :: xs, b :: ys ->
+        if a = b then first (i + 1) (xs, ys) else (i, Some a, Some b)
+      | a :: _, [] -> (i, Some a, None)
+      | [], b :: _ -> (i, None, Some b)
+      | [], [] -> (i, None, None)
+    in
+    let i, a, b = first 0 (expected, actual) in
+    let show = function
+      | Some e -> Format.asprintf "%a" Obs.Event.pp e
+      | None -> "end of stream"
+    in
+    Alcotest.failf "%s: event %d differs:\n  expected: %s\n  run:      %s"
+      label i (show a) (show b)
+  end
+
+(* Everything a successful run observably produces apart from its
+   events, one labelled string per part; [pcstat] is the aggregate
+   profile. *)
+let parts ~cycles ~stats ~attribution ~ledgers ~pcstats ~pcstat ~skips ~series
+    =
+  let per_sm f xs = String.concat "\n" (List.map f (Array.to_list xs)) in
+  [
+    ("cycles", string_of_int cycles);
+    ("per-SM stats", per_sm (Format.asprintf "%a" Stats.pp) stats);
+    ("attribution", per_sm assoc attribution);
+    ("ledger", per_sm (fun l -> J.to_string (Obs.Ledger.to_json l)) ledgers);
+    ( "per-PC",
+      J.to_string (Obs.Pcstat.to_json ~skip_telemetry:skips pcstat)
+      ^ per_sm (fun p -> J.to_string (Obs.Pcstat.to_json p)) pcstats );
+    ("series", Obs.Export.csv_of_series series);
+  ]
+
+let parts_of_result (r : Gpu.result) =
+  parts ~cycles:r.Gpu.cycles ~stats:r.Gpu.per_sm
+    ~attribution:r.Gpu.per_sm_attribution ~ledgers:r.Gpu.per_sm_ledger
+    ~pcstats:r.Gpu.per_sm_pcstat ~pcstat:(Option.get r.Gpu.pcstat)
+    ~skips:r.Gpu.skip_telemetry ~series:r.Gpu.series
+
+let parts_of_sms cycles sms =
+  Array.iter Sm.finalize sms;
+  let get f = Array.map (fun sm -> Option.get (f sm)) sms in
+  let pcstats = get Sm.pcstat in
+  let pcstat = Obs.Pcstat.create ~n:(Obs.Pcstat.n pcstats.(0)) in
+  Array.iter (Obs.Pcstat.add pcstat) pcstats;
+  parts ~cycles ~stats:(Array.map Sm.stats sms)
+    ~attribution:(Array.map Sm.attribution sms)
+    ~ledgers:(Array.map Sm.ledger sms) ~pcstats ~pcstat
+    ~skips:
+      (Obs.Pcstat.merge_skip_telemetry
+         (Array.to_list (Array.map Sm.skip_telemetry sms)))
+    ~series:(get Sm.series)
+
+(* A failed run is fingerprinted by its error kind, diagnostic cycle and
+   the stall attribution at the failure. *)
+let failure_parts kind cycle attribution =
+  [ ("failure", Printf.sprintf "%s at %d: %s" kind cycle attribution) ]
+
+let sms_attribution sms =
+  let a = Obs.Attrib.create () in
+  Array.iter (fun sm -> Obs.Attrib.add a (Sm.attribution sm)) sms;
+  assoc a
+
+(* On mismatch, fail with the part name and a window around the first
+   differing byte instead of dumping two large strings. *)
+let check_parts label expected actual =
+  if List.map fst expected <> List.map fst actual then
+    Alcotest.failf "%s: the lockstep reference and the run ended differently"
+      label;
+  List.iter2
+    (fun (name, a) (_, b) ->
+      if a <> b then begin
+        let n = min (String.length a) (String.length b) in
+        let i = ref 0 in
+        while !i < n && a.[!i] = b.[!i] do
+          incr i
+        done;
+        let window s =
+          let lo = max 0 (!i - 60) in
+          String.sub s lo (min 140 (String.length s - lo))
+        in
+        Alcotest.failf
+          "%s: %s diverges at byte %d:\n  lockstep: %s\n  run:      %s" label
+          name !i (window a) (window b)
+      end)
+    expected actual
+
+(* Conservation, plus a sanity bound the lockstep reference cannot
+   give: it shares the SM model, so a latency noted against a
+   placeholder completion would be equally wrong on both sides. *)
+let invariants label r =
+  (match Gpu.check_attribution r with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: attribution invariant: %s" label msg);
+  (match Gpu.check_ledger r with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: ledger invariant: %s" label msg);
+  Option.iter
+    (fun p ->
+      for pc = 0 to Obs.Pcstat.n p - 1 do
+        let lat = Obs.Pcstat.mem_lat_max p ~pc in
+        if lat < 0 || lat > r.Gpu.cycles then
+          Alcotest.failf "%s: PC %d memory latency %d outside [0, %d]" label pc
+            lat r.Gpu.cycles
+      done)
+    r.Gpu.pcstat
+
+(* ------------------------------------------------------------------ *)
+(* Differential harness                                                *)
+(* ------------------------------------------------------------------ *)
+
+let configs =
+  [ (1, true); (2, true); (4, true); (1, false); (2, false); (4, false) ]
+
+(* Run the lockstep reference once, then [Gpu.run] at every (domains,
+   fast-forward) pair, with the per-PC profile, a counter series and an
+   event recorder on, and demand identical fingerprints. Fast-forwarded
+   spans are bulk-charged without per-cycle events, so with ff on the
+   event stream is held to the first ff-on run's instead (it must not
+   depend on the domain count). Returns the reference outcome and SMs
+   for scenario assertions. *)
+let against_lockstep ?(cfg = Config.default) ?(engine = Engine.base_factory)
+    ?(sample_interval = 64) ?(configs = configs) ~label (kinfo, trace) =
+  let rec_ = Obs.Recorder.create () in
+  let outcome, sms =
+    lockstep ~cfg ~sink:(Obs.Recorder.sink rec_) ~sample_interval engine kinfo
+      trace
+  in
+  let expected =
+    match outcome with
+    | Finished cycles -> parts_of_sms cycles sms
+    | Failed (kind, cycle) -> failure_parts kind cycle (sms_attribution sms)
+  in
+  let stepped_events = Obs.Recorder.events rec_ and ff_events = ref None in
+  List.iter
+    (fun (n, ff) ->
+      let cfg = { cfg with Config.sm_domains = n; fast_forward = ff } in
+      let label = Printf.sprintf "%s, %d domains, ff %b" label n ff in
+      let rec_ = Obs.Recorder.create () in
+      (match
+         Gpu.run ~cfg ~sink:(Obs.Recorder.sink rec_) ~sample_interval
+           ~pcstat:true engine kinfo trace
+       with
+      | Ok r ->
+        invariants label r;
+        check_parts label expected (parts_of_result r)
+      | Error e ->
+        let d = Option.get (Sim_error.diagnostic e) in
+        check_parts label expected
+          (failure_parts (Sim_error.kind_name e) d.Sim_error.d_cycle
+             (render d.Sim_error.d_attribution)));
+      let events = Obs.Recorder.events rec_ in
+      let expected_events =
+        if not ff then stepped_events
+        else
+          match !ff_events with
+          | Some e -> e
+          | None ->
+            ff_events := Some events;
+            events
+      in
+      check_events label expected_events events)
+    configs;
+  (outcome, sms)
+
+(* ------------------------------------------------------------------ *)
+(* Crafted kernels                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let prep ?(grid = Kernel.dim3 1) ?(block = Kernel.dim3 32) ktext ~nparams =
@@ -39,49 +284,7 @@ let prep ?(grid = Kernel.dim3 1) ?(block = Kernel.dim3 32) ktext ~nparams =
         b)
   in
   let launch = Kernel.launch k ~grid ~block ~params in
-  (Kinfo.make ~warp_size:32 launch, Darsie_trace.Record.generate mem launch)
-
-(* Everything a sharded run observably produces, as one canonical byte
-   string (no pcstat / series: requesting either falls back to the
-   serial loop, so there is nothing to compare). *)
-let result_fingerprint (r : Gpu.result) =
-  let assoc a =
-    String.concat ","
-      (List.map
-         (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-         (Obs.Attrib.to_assoc a))
-  in
-  String.concat "\n"
-    ([
-       Printf.sprintf "cycles=%d" r.Gpu.cycles;
-       Format.asprintf "%a" Stats.pp r.Gpu.stats;
-       assoc r.Gpu.attribution;
-     ]
-    @ List.map assoc (Array.to_list r.Gpu.per_sm_attribution)
-    @ List.map
-        (fun (s : Stats.t) -> Format.asprintf "%a" Stats.pp s)
-        (Array.to_list r.Gpu.per_sm))
-
-let invariants label r =
-  (match Gpu.check_attribution r with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "%s: attribution invariant: %s" label msg);
-  match Gpu.check_ledger r with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "%s: ledger invariant: %s" label msg
-
-(* Run serial and sharded, demand the per-shard invariants hold on both,
-   and demand identical fingerprints. *)
-let run_pair ?(cfg = Config.default) ?(engine = Engine.base_factory) ~n
-    (kinfo, trace) =
-  let serial = Gpu.run_exn ~cfg:(domains 1 cfg) engine kinfo trace in
-  let par = Gpu.run_exn ~cfg:(domains n cfg) engine kinfo trace in
-  invariants "serial" serial;
-  invariants (Printf.sprintf "%d domains" n) par;
-  check_string
-    (Printf.sprintf "serial vs %d domains" n)
-    (result_fingerprint serial) (result_fingerprint par);
-  par
+  (Kinfo.make ~warp_size:32 launch, Record.generate mem launch)
 
 (* Every thread block hammers the same DRAM channel: per-TB disjoint
    lines keep many requests in flight at once, and the final read of a
@@ -115,43 +318,74 @@ let dram_kernel =
   exit;
 |}
 
+let finished = function
+  | Finished cycles, _ -> cycles
+  | Failed (kind, _), _ -> Alcotest.failf "lockstep reference failed: %s" kind
+
 let test_dram_contention () =
-  let case = prep ~grid:(Kernel.dim3 16) ~block:(Kernel.dim3 128)
-      contention_kernel ~nparams:1
+  let case =
+    prep ~grid:(Kernel.dim3 16) ~block:(Kernel.dim3 128) contention_kernel
+      ~nparams:1
   in
-  List.iter
-    (fun n ->
-      let r = run_pair ~n case in
-      check_bool "contention scenario really hits DRAM" true
-        (r.Gpu.stats.Stats.dram_transactions > 100))
-    [ 2; 4 ];
-  ignore (run_pair ~cfg:(ff_off Config.default) ~n:4 case)
+  let _, sms = against_lockstep ~label:"contention" case in
+  check_bool "contention scenario really hits DRAM" true
+    (Array.fold_left
+       (fun acc sm -> acc + (Sm.stats sm).Stats.dram_transactions)
+       0 sms
+    > 100)
 
 let test_tb_turnover () =
   (* many more TBs than slots: retirements open dispatch scans mid-epoch,
-     which the barrier must replay in exact serial order *)
+     which the barrier must replay in exact per-cycle order *)
   let case = prep ~grid:(Kernel.dim3 64) dram_kernel ~nparams:1 in
-  ignore (run_pair ~n:2 case);
-  ignore (run_pair ~n:4 case);
-  ignore (run_pair ~cfg:(ff_off Config.default) ~n:2 case)
+  check_bool "TB turnover happened" true
+    (finished (against_lockstep ~label:"turnover" case) > 200)
 
 let test_fidelity_knobs () =
-  let case = prep ~grid:(Kernel.dim3 16) ~block:(Kernel.dim3 128)
-      contention_kernel ~nparams:1
+  let case =
+    prep ~grid:(Kernel.dim3 16) ~block:(Kernel.dim3 128) contention_kernel
+      ~nparams:1
   in
-  ignore (run_pair ~cfg:(fidelity Config.default) ~n:4 case);
-  ignore (run_pair ~cfg:(ff_off (fidelity Config.default)) ~n:4 case)
+  ignore
+    (finished
+       (against_lockstep ~cfg:(fidelity Config.default) ~label:"fidelity" case))
 
 let test_auto_and_slack_knobs () =
   (* sm_domains 0 auto-sizes; tiny explicit epoch_slack still agrees *)
   let case = prep ~grid:(Kernel.dim3 8) dram_kernel ~nparams:1 in
-  ignore (run_pair ~n:0 case);
-  ignore (run_pair ~cfg:{ Config.default with Config.epoch_slack = 7 } ~n:3 case);
+  let go cfg configs =
+    ignore (against_lockstep ~cfg ~configs ~label:"knobs" case)
+  in
+  go Config.default [ (0, true); (0, false) ];
+  go { Config.default with Config.epoch_slack = 7 } [ (3, true); (3, false) ];
+  go { Config.default with Config.epoch_slack = 1 } [ (2, true); (1, false) ];
+  (* degenerate latencies: the slack bound falls to one cycle *)
+  go { Config.default with Config.l1_lat = 0; dram_lat = 0 } configs
+
+(* A DRAM load issued inside an epoch competes for a drained SM's stall
+   blame with a slow SFU op that finishes after it: the blamed PC is
+   only known once the barrier patches the load's real completion. *)
+let blame_kernel =
+  {|
+.kernel blame
+.params 1
+  mul.lo.u32 %r0, %tid.x, 4;
+  add.u32 %r1, %r0, %param0;
+  ld.global.u32 %r2, [%r1+0];
+  div.u32 %r3, %r0, 3;
+  exit;
+|}
+
+let test_deferred_blame () =
+  let case = prep ~grid:(Kernel.dim3 8) blame_kernel ~nparams:1 in
   ignore
-    (run_pair ~cfg:{ Config.default with Config.epoch_slack = 1 } ~n:2 case)
+    (finished
+       (against_lockstep
+          ~cfg:{ Config.default with Config.sfu_lat = 300 }
+          ~label:"blame" case))
 
 (* ------------------------------------------------------------------ *)
-(* Error paths: same failure at the same cycle, serial or sharded      *)
+(* Error paths: same failure at the same cycle as the reference        *)
 (* ------------------------------------------------------------------ *)
 
 let stuck_factory ki cfg stats =
@@ -159,114 +393,50 @@ let stuck_factory ki cfg stats =
   { e with Engine.can_fetch = (fun _ -> false) }
 
 let test_watchdog_parity () =
-  let kinfo, trace = prep dram_kernel ~nparams:1 in
-  let go cfg =
-    match Gpu.run ~cfg stuck_factory kinfo trace with
-    | Error (Sim_error.Deadlock { message; diag }) ->
-      (message, diag.Sim_error.d_cycle, diag.Sim_error.d_attribution)
-    | Ok _ -> Alcotest.fail "stuck engine should deadlock"
-    | Error e ->
-      Alcotest.failf "expected deadlock, got %s" (Sim_error.kind_name e)
-  in
+  let case = prep dram_kernel ~nparams:1 in
   List.iter
     (fun watchdog_cycles ->
       let cfg = { Config.default with Config.watchdog_cycles } in
-      let msg_s, cyc_s, attr_s = go (domains 1 cfg) in
-      List.iter
-        (fun n ->
-          let msg_p, cyc_p, attr_p = go (domains n cfg) in
-          check_string "same deadlock message" msg_s msg_p;
-          check_int "same failing cycle" cyc_s cyc_p;
-          check_bool "same attribution at failure" true (attr_s = attr_p))
-        [ 2; 4 ])
+      match against_lockstep ~cfg ~engine:stuck_factory ~label:"stuck" case with
+      | Failed ("deadlock", _), _ -> ()
+      | _ -> Alcotest.fail "stuck engine should deadlock")
     [ 200; 1000 ]
 
 let test_cycle_bound_parity () =
-  let kinfo, trace = prep dram_kernel ~nparams:1 in
   let cfg =
     { Config.default with Config.watchdog_cycles = 0; max_cycles = 100 }
   in
-  let go cfg =
-    match Gpu.run ~cfg Engine.base_factory kinfo trace with
-    | Error (Sim_error.Cycle_bound { bound; diag; _ }) ->
-      (bound, diag.Sim_error.d_cycle, diag.Sim_error.d_attribution)
-    | Ok _ -> Alcotest.fail "should hit the cycle bound"
-    | Error e ->
-      Alcotest.failf "expected cycle_bound, got %s" (Sim_error.kind_name e)
+  match against_lockstep ~cfg ~label:"bound" (prep dram_kernel ~nparams:1) with
+  | Failed ("cycle_bound", c), _ -> check_int "fails entering max + 1" 101 c
+  | _ -> Alcotest.fail "should hit the cycle bound"
+
+(* ------------------------------------------------------------------ *)
+(* Whole-suite differential: 13 apps x 7 machines                      *)
+(* ------------------------------------------------------------------ *)
+
+let apps = lazy (List.map Suite.load_app Darsie_workloads.Registry.all)
+
+(* Cells run on a pool of the host's cores; each cell's runs stay in
+   order, so only the schedule depends on the pool. *)
+let suite_differential ?(cfg = Config.default) ~configs () =
+  let cells =
+    List.concat_map
+      (fun app -> List.map (fun machine -> (app, machine)) Suite.all_machines)
+      (Lazy.force apps)
   in
-  let b_s, c_s, a_s = go (domains 1 cfg) in
-  let b_p, c_p, a_p = go (domains 4 cfg) in
-  check_int "same bound" b_s b_p;
-  check_int "same failing cycle" c_s c_p;
-  check_bool "same attribution at failure" true (a_s = a_p)
-
-(* ------------------------------------------------------------------ *)
-(* Serial fallbacks: diagnostics force the serial loop, same results   *)
-(* ------------------------------------------------------------------ *)
-
-let test_diagnostic_fallbacks () =
-  let kinfo, trace = prep ~grid:(Kernel.dim3 8) dram_kernel ~nparams:1 in
-  let cfg = domains 4 Config.default in
-  let plain = Gpu.run_exn ~cfg Engine.base_factory kinfo trace in
-  (* pcstat / series requests take the serial loop but must agree with
-     the sharded result on everything both produce *)
-  let p = Gpu.run_exn ~cfg ~pcstat:true Engine.base_factory kinfo trace in
-  let s = Gpu.run_exn ~cfg ~sample_interval:64 Engine.base_factory kinfo trace in
-  check_int "pcstat fallback cycles" plain.Gpu.cycles p.Gpu.cycles;
-  check_int "series fallback cycles" plain.Gpu.cycles s.Gpu.cycles;
-  check_bool "pcstat fallback produced a profile" true (p.Gpu.pcstat <> None);
-  check_bool "series fallback produced samples" true
-    (Array.length s.Gpu.series > 0);
-  check_string "fallback stats agree"
-    (Format.asprintf "%a" Stats.pp plain.Gpu.stats)
-    (Format.asprintf "%a" Stats.pp p.Gpu.stats)
-
-(* ------------------------------------------------------------------ *)
-(* Whole-suite differential: 13 apps x 7 machines, serial vs sharded   *)
-(* ------------------------------------------------------------------ *)
-
-let matrix_cells m =
-  List.concat_map
-    (fun (app : Suite.app) ->
-      List.map
-        (fun machine ->
-          let abbr = app.Suite.workload.W.abbr in
-          let r = Suite.get m abbr machine in
-          invariants (Printf.sprintf "%s/%s" abbr (Suite.machine_name machine))
-            r.Suite.gpu;
-          ( Printf.sprintf "%s/%s" abbr (Suite.machine_name machine),
-            J.to_string (Darsie_harness.Metrics.of_run ~app:abbr r) ))
-        Suite.all_machines)
-    m.Suite.apps
-
-let check_cell name a b =
-  if a <> b then begin
-    let n = min (String.length a) (String.length b) in
-    let i = ref 0 in
-    while !i < n && a.[!i] = b.[!i] do
-      incr i
-    done;
-    let window s =
-      let lo = max 0 (!i - 60) in
-      String.sub s lo (min 140 (String.length s - lo))
-    in
-    Alcotest.failf "%s diverges at byte %d:\n  serial:  %s\n  sharded: %s" name
-      !i (window a) (window b)
-  end
-
-(* sm_domains is a host knob, not a machine parameter: it is excluded
-   from the metrics machine_config echo, so the documents must be
-   byte-identical with no normalization at all. *)
-let suite_differential ~n cfg () =
-  (* jobs:1 keeps the process pool out of the picture: every run in the
-     matrix takes the sharded path (with jobs > 1 the core-budget rule
-     would divide sm_domains down) *)
-  let build cfg = Suite.build_matrix ~cfg ~jobs:1 () in
-  let m_serial = build (domains 1 cfg) in
-  let m_par = build (domains n cfg) in
-  List.iter2
-    (fun (name, serial) (_, par) -> check_cell name serial par)
-    (matrix_cells m_serial) (matrix_cells m_par)
+  Darsie_harness.Parallel.map
+    (fun ((app : Suite.app), machine) ->
+      let cfg, engine = Suite.setup ~cfg machine in
+      let label =
+        Printf.sprintf "%s/%s" app.Suite.workload.W.abbr
+          (Suite.machine_name machine)
+      in
+      ignore
+        (finished
+           (against_lockstep ~cfg ~engine ~sample_interval:512 ~configs ~label
+              (app.Suite.kinfo, app.Suite.trace))))
+    cells
+  |> ignore
 
 let () =
   Alcotest.run "shard"
@@ -278,23 +448,24 @@ let () =
           Alcotest.test_case "fidelity knobs" `Quick test_fidelity_knobs;
           Alcotest.test_case "auto domains and slack" `Quick
             test_auto_and_slack_knobs;
+          Alcotest.test_case "blame behind a pending load" `Quick
+            test_deferred_blame;
         ] );
       ( "error-paths",
         [
           Alcotest.test_case "watchdog parity" `Quick test_watchdog_parity;
           Alcotest.test_case "cycle bound parity" `Quick
             test_cycle_bound_parity;
-          Alcotest.test_case "diagnostic fallbacks" `Quick
-            test_diagnostic_fallbacks;
         ] );
       ( "differential",
         [
           Alcotest.test_case "13 apps x 7 machines, 2 domains" `Quick
-            (suite_differential ~n:2 Config.default);
+            (suite_differential ~configs:[ (1, true); (2, true); (2, false) ]);
           Alcotest.test_case "13 apps x 7 machines, 4 domains, no ff" `Quick
-            (suite_differential ~n:4 (ff_off Config.default));
+            (suite_differential ~configs:[ (4, false); (1, false); (4, true) ]);
           Alcotest.test_case "13 apps x 7 machines, 4 domains, fidelity"
             `Quick
-            (suite_differential ~n:4 (fidelity Config.default));
+            (suite_differential ~cfg:(fidelity Config.default)
+               ~configs:[ (4, true); (1, false) ]);
         ] );
     ]
