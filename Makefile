@@ -3,9 +3,9 @@
 DUNE ?= dune
 SMOKE_DIR ?= /tmp/darsie-smoke
 
-.PHONY: all build test verify doc cli-docs bench profile-smoke check-smoke \
-  fuzz-smoke annotate-smoke explain-smoke cache-smoke fastforward-smoke \
-  telemetry-smoke fidelity-smoke shard-smoke bench-compare clean
+.PHONY: all build test verify doc cli-docs bench export-smoke check-smoke \
+  fuzz-smoke cache-smoke fastforward-smoke telemetry-smoke shard-smoke \
+  bench-compare clean
 
 all: build
 
@@ -30,17 +30,47 @@ cli-docs: build
 bench:
 	$(DUNE) exec bench/main.exe
 
-# Export metrics + a Chrome trace for MM/DARSIE, then re-validate the
-# JSON file through the schema tests (DARSIE_METRICS_FILE enables the
-# otherwise-skipped "exported file" case).
-profile-smoke: build
+# Export smoke: every metrics-document writer — profile (plus a Chrome
+# trace and CSV series), annotate on two machines (per-PC charges),
+# explain on a 1D and a multi-dim app (skip ledger), and run at
+# non-default fidelity knobs (dual-issue fetch + an MSHR limit) — writes
+# its JSON, and one `darsie validate` re-proves every identity from the
+# files. The fidelity file's machine_config echo is checked against the
+# flags that produced it (an echo, not an identity). Negative lines: a
+# copy of mm.json with "cycles" corrupted must exit 2, and three input
+# errors must exit 1 — --scale 0, an unwritable --json path, and --json
+# on an experiment that writes no document.
+export-smoke: build
 	mkdir -p $(SMOKE_DIR)
 	$(DUNE) exec bin/darsie.exe -- profile MM -m DARSIE \
 	  --json $(SMOKE_DIR)/mm.json \
 	  --chrome-trace $(SMOKE_DIR)/mm.trace.json \
 	  --csv $(SMOKE_DIR)/mm.csv
-	DARSIE_METRICS_FILE=$(SMOKE_DIR)/mm.json \
-	  $(DUNE) exec test/test_obs.exe -- test schema
+	$(DUNE) exec bin/darsie.exe -- annotate MM -m DARSIE -m DAC-IDEAL \
+	  --top 5 --json $(SMOKE_DIR)/mm_annotate.json
+	$(DUNE) exec bin/darsie.exe -- explain LIB --top 3 \
+	  --json $(SMOKE_DIR)/lib_explain.json
+	$(DUNE) exec bin/darsie.exe -- explain MM --top 3 \
+	  --json $(SMOKE_DIR)/mm_explain.json
+	$(DUNE) exec bin/darsie.exe -- run MM -m DARSIE \
+	  --issue-width 2 --mshrs 8 --json $(SMOKE_DIR)/fidelity.json > /dev/null
+	$(DUNE) exec bin/darsie.exe -- validate $(SMOKE_DIR)/mm.json \
+	  $(SMOKE_DIR)/mm_annotate.json $(SMOKE_DIR)/lib_explain.json \
+	  $(SMOKE_DIR)/mm_explain.json $(SMOKE_DIR)/fidelity.json
+	jq -e '(.stall_attribution.total | has("mem_struct")) and .machine_config.issue_width == 2 and .machine_config.mshrs == 8' \
+	  $(SMOKE_DIR)/fidelity.json > /dev/null \
+	  || { echo "machine_config echo or mem_struct bucket missing"; exit 1; }
+	sed '0,/"cycles": /s//"cycles": 1/' $(SMOKE_DIR)/mm.json \
+	  > $(SMOKE_DIR)/mm_bad.json
+	$(DUNE) exec bin/darsie.exe -- validate $(SMOKE_DIR)/mm_bad.json; \
+	  test $$? -eq 2 || { echo "corrupted cycles not rejected"; exit 1; }
+	for args in "run MM --scale 0" "limit MM --scale 0" \
+	  "experiment fig8 --scale 0" \
+	  "run MM --json $(SMOKE_DIR)/no-such-dir/mm.json" \
+	  "experiment table2 --json $(SMOKE_DIR)/table2.json"; do \
+	  $(DUNE) exec bin/darsie.exe -- $$args > /dev/null; \
+	  test $$? -eq 1 || { echo "darsie $$args: expected exit 1"; exit 1; }; \
+	done
 
 # Robustness smoke: differential oracle plus seeded fault injection on
 # two apps (LIB has candidates for all three fault kinds), exported and
@@ -66,32 +96,6 @@ fuzz-smoke: build
 	$(DUNE) exec bin/darsie.exe -- fuzz --seed 0 --count 100 --sm-domains 2 \
 	  --json $(SMOKE_DIR)/fuzz_shard.json
 	$(DUNE) exec bin/darsie.exe -- fuzz --replay-corpus test/corpus
-
-# Hotspot-annotation smoke: per-instruction listing for MM on two
-# machines (exit 2 if the per-PC charges diverge from the stall
-# attribution), plus a metrics export whose per_pc section is
-# re-validated on write.
-annotate-smoke: build
-	mkdir -p $(SMOKE_DIR)
-	$(DUNE) exec bin/darsie.exe -- annotate MM -m DARSIE -m DAC-IDEAL \
-	  --top 5 --json $(SMOKE_DIR)/mm_annotate.json
-
-# Skip-ledger smoke: dynamic-fate accounting for a 1D and a multi-dim
-# app (exit 2 on a conservation violation), with the exported ledger's
-# invariants — fate totals sum to the eligible count, captured is
-# skipped + parked, per-row fates sum to the row's eligible count —
-# re-proved from the JSON by jq.
-explain-smoke: build
-	mkdir -p $(SMOKE_DIR)
-	$(DUNE) exec bin/darsie.exe -- explain LIB --top 3 \
-	  --json $(SMOKE_DIR)/lib_explain.json
-	$(DUNE) exec bin/darsie.exe -- explain MM --top 3 \
-	  --json $(SMOKE_DIR)/mm_explain.json
-	for f in $(SMOKE_DIR)/lib_explain.json $(SMOKE_DIR)/mm_explain.json; do \
-	  jq -e '.skip_ledger | (.expected_total == ([.totals[]] | add)) and (.captured == .totals.skipped + .totals.parked_waiting_leaderwb) and (.expected_total == ([.rows[].expected] | add)) and ([.rows[] | .expected == ([del(.pc, .expected)[]] | add)] | all)' \
-	    $$f > /dev/null \
-	    || { echo "skip-ledger invariants violated in $$f"; exit 1; }; \
-	done
 
 # Trace-cache smoke: the same profiled run twice through a fresh cache
 # directory must miss-then-hit and print byte-identical output.
@@ -127,43 +131,19 @@ fastforward-smoke: build
 	diff $(SMOKE_DIR)/ff_on.cmp $(SMOKE_DIR)/ff_off.cmp
 
 # Host-telemetry smoke: a full-matrix run with spans on, the exported
-# document's integer invariant — sum of per-phase self_ns equals sum of
-# per-domain busy_ns, exactly — re-proved from the file by jq (the CLI
-# already validated it before writing; this checks the serialized
-# form), the traceEvents list confirmed non-empty and well-formed, and
-# the summary renderer run over the same file.
+# document re-proved from the file by `darsie validate` (the CLI already
+# validated it before writing; this checks the serialized form): the
+# span clock's integer identity — sum of per-phase self_ns equals sum
+# of per-domain busy_ns, exactly — and a non-empty traceEvents list
+# whose every entry has a "ph". Then the summary renderer runs over the
+# same file.
 telemetry-smoke: build
 	mkdir -p $(SMOKE_DIR)
 	$(DUNE) exec bin/darsie.exe -- experiment fig8 -j 2 \
 	  --telemetry $(SMOKE_DIR)/telemetry.json > /dev/null
-	jq -e '.host_telemetry | ([.phases[].self_ns] | add) == ([.domains[].busy_ns] | add)' \
-	  $(SMOKE_DIR)/telemetry.json > /dev/null \
-	  || { echo "telemetry self-time identity violated"; exit 1; }
-	jq -e '(.traceEvents | length) > 0 and ([.traceEvents[] | has("ph")] | all)' \
-	  $(SMOKE_DIR)/telemetry.json > /dev/null \
-	  || { echo "telemetry traceEvents malformed"; exit 1; }
+	$(DUNE) exec bin/darsie.exe -- validate $(SMOKE_DIR)/telemetry.json
 	$(DUNE) exec bin/darsie.exe -- telemetry-summary $(SMOKE_DIR)/telemetry.json \
 	  | grep -q "host telemetry:"
-
-# Machine-fidelity smoke: one app at non-default knobs (dual-issue
-# fetch bundles + a per-warp MSHR limit), with the cycle-conservation
-# invariant — every stall bucket of every SM sums back to the simulated
-# cycle count, eight buckets including the knob-introduced mem_struct —
-# re-proved from the exported JSON by jq, and the machine_config echo
-# checked against the flags that produced the file.
-fidelity-smoke: build
-	mkdir -p $(SMOKE_DIR)
-	$(DUNE) exec bin/darsie.exe -- run MM -m DARSIE \
-	  --issue-width 2 --mshrs 8 --json $(SMOKE_DIR)/fidelity.json > /dev/null
-	jq -e '([.stall_attribution.total[]] | add) == .cycles * .num_sms' \
-	  $(SMOKE_DIR)/fidelity.json > /dev/null \
-	  || { echo "stall buckets do not sum to cycles x SMs"; exit 1; }
-	jq -e '.cycles as $$c | [.stall_attribution.per_sm[] | ([.[]] | add) == $$c] | all' \
-	  $(SMOKE_DIR)/fidelity.json > /dev/null \
-	  || { echo "per-SM stall buckets do not sum to cycles"; exit 1; }
-	jq -e '(.stall_attribution.total | has("mem_struct")) and .machine_config.issue_width == 2 and .machine_config.mshrs == 8' \
-	  $(SMOKE_DIR)/fidelity.json > /dev/null \
-	  || { echo "machine_config echo or mem_struct bucket missing"; exit 1; }
 
 # Sharded-cycle-loop smoke: one big-grid simulation (MM at --scale 4,
 # 64 thread blocks) with the SM array sharded across worker domains

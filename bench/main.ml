@@ -380,7 +380,7 @@ let () =
   | None -> ()
   | Some path ->
     let doc = Host_trace.document (Tel.snapshot ()) in
-    (match Metrics.validate_telemetry doc with
+    (match Metrics.validate doc with
     | Ok () -> ()
     | Error msg ->
       Printf.eprintf "bench: telemetry document invalid (%s)\n" msg;

@@ -19,6 +19,8 @@
      telemetry-summary FILE    - render a --telemetry document: host
                                  phases ranked by self wall, per-domain
                                  utilization, counter totals
+     validate FILE...          - re-prove the identities of written
+                                 JSON documents
      limit APP                 - redundancy limit study of one app
      experiment ID             - regenerate a paper figure/table
      check [APP]               - robustness checks: differential oracle,
@@ -49,9 +51,17 @@ let app_arg =
   let doc = "Application abbreviation from Table 1 (e.g. MM, LIB, HS)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
 
+let or_die = function
+  | Ok x -> x
+  | Error msg ->
+    prerr_endline msg;
+    exit 1
+
 let scale_arg =
   let doc = "Input scale factor (1 = default benchmarked size)." in
-  Arg.(value & opt int 1 & info [ "scale"; "s" ] ~docv:"N" ~doc)
+  Term.(
+    const (fun s -> if s < 1 then or_die (Error "--scale must be >= 1"); s)
+    $ Arg.(value & opt int 1 & info [ "scale"; "s" ] ~docv:"N" ~doc))
 
 let machine_conv =
   let parse s =
@@ -77,12 +87,6 @@ let machine_arg =
     value
     & opt machine_conv Darsie_harness.Suite.Darsie
     & info [ "machine"; "m" ] ~docv:"MACHINE" ~doc)
-
-let or_die = function
-  | Ok x -> x
-  | Error msg ->
-    prerr_endline msg;
-    exit 1
 
 let jobs_arg =
   let doc =
@@ -209,6 +213,27 @@ let finish () =
     List.iter (fun v -> Printf.eprintf "invariant violation: %s\n" v) vs;
     exit 2
 
+(* An unwritable output path is an input error: exit 1 with one line. *)
+let write_out path write =
+  try write path
+  with Sys_error e ->
+    (* open_out's message already starts with the path *)
+    let e = if String.starts_with ~prefix:path e then e else path ^ ": " ^ e in
+    or_die (Error ("darsie: cannot write " ^ e))
+
+(* Every JSON document the CLI builds goes through here: validated (a
+   broken identity is an invariant violation, exit 2 at [finish]), then
+   written when a path was given. *)
+let emit label file doc =
+  (match Darsie_harness.Metrics.validate doc with
+  | Ok () -> ()
+  | Error msg -> violation "exported %s invalid (%s)" label msg);
+  Option.iter
+    (fun path ->
+      write_out path (fun p -> Darsie_harness.Metrics.write_file p doc);
+      Printf.printf "%s: %s\n" label path)
+    file
+
 let telemetry_arg =
   let doc =
     "Record host-side telemetry (phase spans, domain-pool and trace-cache \
@@ -235,9 +260,9 @@ let progress_json_arg =
 
 (* Every telemetry-capable subcommand calls this first. It configures the
    progress channel, enables span recording when a file was requested,
-   and returns the finalizer that snapshots, self-validates and writes
-   the document — called right before [finish ()] so an invalid export
-   still reaches disk but trips exit 2. *)
+   and returns the finalizer that snapshots and emits the document —
+   called right before [finish ()] so an invalid export still reaches
+   disk but trips exit 2. *)
 let setup_telemetry telemetry_file progress progress_json =
   if progress_json then Tel.Progress.configure Tel.Progress.Ndjson
   else if progress then Tel.Progress.configure Tel.Progress.Human;
@@ -246,12 +271,7 @@ let setup_telemetry telemetry_file progress progress_json =
   | Some path ->
     Tel.enable ();
     fun () ->
-      let doc = Host_trace.document (Tel.snapshot ()) in
-      (match Darsie_harness.Metrics.validate_telemetry doc with
-      | Ok () -> ()
-      | Error msg -> violation "telemetry document invalid (%s)" msg);
-      Darsie_harness.Metrics.write_file path doc;
-      Printf.printf "telemetry: %s\n" path
+      emit "telemetry" (Some path) (Host_trace.document (Tel.snapshot ()))
 
 let check_run abbr (r : Darsie_harness.Suite.run) =
   (match Darsie_timing.Gpu.check_attribution r.Darsie_harness.Suite.gpu with
@@ -352,12 +372,7 @@ let run_cmd =
          r.Darsie_harness.Suite.energy);
     check_run abbr base;
     check_run abbr r;
-    (match json_file with
-    | Some path ->
-      Darsie_harness.Metrics.write_file path
-        (Darsie_harness.Metrics.of_run ~app:abbr ~scale r);
-      Printf.printf "metrics: %s\n" path
-    | None -> ());
+    emit "metrics" json_file (Darsie_harness.Metrics.of_run ~app:abbr ~scale r);
     report_cache cache;
     write_telemetry ();
     finish ()
@@ -407,15 +422,7 @@ let profile_cmd =
       gpu.Gpu.cycles
       (Format.asprintf "%a" Obs.Attrib.pp gpu.Gpu.attribution);
     check_run abbr r;
-    let doc = Darsie_harness.Metrics.of_run ~app:abbr ~scale r in
-    (match Darsie_harness.Metrics.validate doc with
-    | Ok () -> ()
-    | Error msg -> violation "%s: exported metrics invalid (%s)" abbr msg);
-    (match json_file with
-    | Some path ->
-      Darsie_harness.Metrics.write_file path doc;
-      Printf.printf "metrics: %s\n" path
-    | None -> ());
+    emit "metrics" json_file (Darsie_harness.Metrics.of_run ~app:abbr ~scale r);
     (match trace_file with
     | Some path ->
       (* When host telemetry is on, its span tracks (own pid, so no
@@ -432,10 +439,10 @@ let profile_cmd =
                (Darsie_harness.Suite.machine_name machine))
           ()
       in
-      let oc = open_out path in
-      output_string oc (Obs.Json.to_string trace);
-      output_char oc '\n';
-      close_out oc;
+      write_out path (fun p ->
+          Out_channel.with_open_bin p (fun oc ->
+              output_string oc (Obs.Json.to_string trace);
+              output_char oc '\n'));
       (match recorder with
       | Some rec_ when Obs.Recorder.dropped rec_ > 0 ->
         Printf.printf
@@ -445,9 +452,9 @@ let profile_cmd =
     | None -> ());
     (match csv_file with
     | Some path ->
-      let oc = open_out path in
-      output_string oc (Obs.Export.csv_of_series gpu.Gpu.series);
-      close_out oc;
+      write_out path (fun p ->
+          Out_channel.with_open_bin p (fun oc ->
+              output_string oc (Obs.Export.csv_of_series gpu.Gpu.series)));
       Printf.printf "csv series: %s\n" path
     | None -> ());
     report_cache cache;
@@ -503,9 +510,10 @@ let limit_cmd =
 let experiment_cmd =
   let run id scale jobs cache_dir no_ff knobs json_file =
     let module F = Darsie_harness.Figures in
-    let needs_matrix =
-      [ "fig8"; "fig9"; "fig10"; "fig11"; "fig12"; "coverage" ]
-    in
+    if json_file <> None && String.lowercase_ascii id <> "sensitivity" then
+      or_die
+        (Error
+           (Printf.sprintf "--json: experiment %s writes no document" id));
     let matrix =
       lazy
         (let jobs = effective_jobs jobs in
@@ -582,17 +590,8 @@ let experiment_cmd =
       in
       print_string (Sens.render t);
       report_cache cache;
-      let doc = Sens.to_json t in
-      (match Darsie_harness.Metrics.validate_sensitivity doc with
-      | Ok () -> ()
-      | Error msg -> violation "sensitivity document invalid (%s)" msg);
-      (match json_file with
-      | Some path ->
-        Darsie_harness.Metrics.write_file path doc;
-        Printf.printf "sweep: %s\n" path
-      | None -> ())
+      emit "sweep" json_file (Sens.to_json t)
     | other ->
-      ignore needs_matrix;
       Printf.eprintf
         "unknown experiment %S (fig1 fig2 fig6 fig8 fig9 fig10 fig11 fig12 \
          coverage table1 table2 table3 area ablations sensitivity)\n"
@@ -650,15 +649,7 @@ let check_cmd =
     in
     print_string (Checker.render report);
     report_cache cache;
-    (match json_file with
-    | Some path ->
-      let doc = Checker.to_json report in
-      (match Darsie_harness.Metrics.validate_check doc with
-      | Ok () -> ()
-      | Error msg -> violation "exported check report invalid (%s)" msg);
-      Darsie_harness.Metrics.write_file path doc;
-      Printf.printf "report: %s\n" path
-    | None -> ());
+    emit "report" json_file (Checker.to_json report);
     write_telemetry ();
     finish ();
     (* each failure class gets its own exit code so scripts and CI can
@@ -751,16 +742,8 @@ let annotate_cmd =
     print_string
       (Darsie_harness.Annotate.render ~top ~kernel ~app_name:abbr
          ~machines:results ());
-    (match json_file with
-    | Some path ->
-      let _, primary = List.hd runs in
-      let doc = Darsie_harness.Metrics.of_run ~app:abbr ~scale primary in
-      (match Darsie_harness.Metrics.validate doc with
-      | Ok () -> ()
-      | Error msg -> violation "%s: exported metrics invalid (%s)" abbr msg);
-      Darsie_harness.Metrics.write_file path doc;
-      Printf.printf "metrics: %s\n" path
-    | None -> ());
+    emit "metrics" json_file
+      (Darsie_harness.Metrics.of_run ~app:abbr ~scale (snd (List.hd runs)));
     report_cache cache;
     write_telemetry ();
     finish ()
@@ -809,15 +792,7 @@ let explain_cmd =
          ~machine_name:(Darsie_harness.Suite.machine_name machine)
          ~kinfo:app.Darsie_harness.Suite.kinfo
          gpu.Darsie_timing.Gpu.ledger ());
-    (match json_file with
-    | Some path ->
-      let doc = Darsie_harness.Metrics.of_run ~app:abbr ~scale r in
-      (match Darsie_harness.Metrics.validate doc with
-      | Ok () -> ()
-      | Error msg -> violation "%s: exported metrics invalid (%s)" abbr msg);
-      Darsie_harness.Metrics.write_file path doc;
-      Printf.printf "metrics: %s\n" path
-    | None -> ());
+    emit "metrics" json_file (Darsie_harness.Metrics.of_run ~app:abbr ~scale r);
     report_cache cache;
     write_telemetry ();
     finish ()
@@ -901,29 +876,26 @@ let bench_compare_cmd =
     Term.(const run $ baseline_arg $ current_arg $ det_arg $ wall_arg
           $ warn_arg)
 
+(* Read and parse a JSON file; the error is one line naming the file. *)
+let read_json file =
+  match In_channel.with_open_bin file In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | s ->
+    Result.map_error (Printf.sprintf "%s: bad JSON (%s)" file)
+      (Obs.Json.of_string s)
+
 let telemetry_summary_cmd =
   let run file =
     let text =
-      match
-        let ic = open_in file in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with
-      | exception Sys_error e -> Error e
-      | s -> (
-        match Obs.Json.of_string s with
-        | Error e -> Error (Printf.sprintf "%s: bad JSON (%s)" file e)
-        | Ok doc -> (
+      Result.bind (read_json file) (fun doc ->
           match Host_trace.summary_of_document doc with
           | None ->
-            Error
-              (Printf.sprintf "%s carries no host_telemetry section" file)
+            Error (Printf.sprintf "%s carries no host_telemetry section" file)
           | Some section -> (
-            match Darsie_harness.Metrics.validate_telemetry section with
+            match Darsie_harness.Metrics.validate doc with
             | Error e ->
               Error (Printf.sprintf "%s: invalid host_telemetry (%s)" file e)
-            | Ok () -> Host_trace.render_summary section)))
+            | Ok () -> Host_trace.render_summary section))
     in
     print_string (or_die text)
   in
@@ -942,6 +914,38 @@ let telemetry_summary_cmd =
           self-time accounting first and exits nonzero if it does not \
           hold")
     Term.(const run $ file_arg)
+
+let validate_cmd =
+  let module M = Darsie_harness.Metrics in
+  let check file =
+    match read_json file with
+    | Error e -> (1, e)
+    | Ok doc -> (
+      match (M.kind_of doc, M.validate doc) with
+      | Error e, _ -> (1, Printf.sprintf "%s: %s" file e)
+      | Ok kind, Ok () -> (0, Printf.sprintf "%s: ok (%s)" file kind)
+      | Ok kind, Error e -> (2, Printf.sprintf "%s: %s: %s" file kind e))
+  in
+  let run files =
+    let worst code file =
+      let c, line = check file in
+      if c = 0 then print_endline line else prerr_endline line;
+      max code c
+    in
+    exit (List.fold_left worst 0 files)
+  in
+  let files_arg =
+    Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE"
+           ~doc:"JSON document written by darsie or bench.")
+  in
+  Cmd.v
+    (Cmd.info "validate"
+       ~doc:
+         "Detect each file's document kind (metrics, check report, fuzz \
+          campaign, sensitivity sweep, host telemetry, bench record) and \
+          re-prove its identities; exits 2 if one does not hold, else 1 if \
+          a file is unreadable, not JSON or of no known kind")
+    Term.(const run $ files_arg)
 
 let area_cmd =
   let run () =
@@ -995,15 +999,7 @@ let fuzz_cmd =
       in
       let report = Campaign.run cfg in
       print_string (Campaign.render report);
-      (match json_file with
-      | Some path ->
-        let doc = Campaign.to_json report in
-        (match Darsie_harness.Metrics.validate_fuzz doc with
-        | Ok () -> ()
-        | Error msg -> violation "exported fuzz report invalid (%s)" msg);
-        Darsie_harness.Metrics.write_file path doc;
-        Printf.printf "report: %s\n" path
-      | None -> ());
+      emit "report" json_file (Campaign.to_json report);
       write_telemetry ();
       finish ();
       let code = Campaign.exit_code report in
@@ -1065,7 +1061,7 @@ let main =
   Cmd.group (Cmd.info "darsie" ~version:"1.0.0" ~doc)
     [ list_cmd; asm_cmd; analyze_cmd; run_cmd; profile_cmd; annotate_cmd;
       explain_cmd; limit_cmd; experiment_cmd; check_cmd; fuzz_cmd;
-      bench_compare_cmd; telemetry_summary_cmd; area_cmd ]
+      bench_compare_cmd; telemetry_summary_cmd; validate_cmd; area_cmd ]
 
 (* Typed simulation errors escaping any subcommand (e.g. a deadlock during
    [darsie run]) exit with their distinct code and a one-line summary. *)

@@ -81,7 +81,7 @@ val render : report -> string
 
 val to_json : report -> Darsie_obs.Json.t
 (** ["fuzz_campaign"] document, validated by
-    {!Darsie_harness.Metrics.validate_fuzz}. *)
+    {!Darsie_harness.Metrics.validate}. *)
 
 val replay :
   ?base_cfg:Darsie_timing.Config.t -> seed:int -> index:int -> unit ->

@@ -280,7 +280,7 @@ let render r =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* JSON export (validated by Metrics.validate_check) *)
+(* JSON export (validated by Metrics.validate) *)
 
 let timing_to_json t =
   let base =

@@ -95,4 +95,4 @@ val render : report -> string
 (** Human-readable per-app lines plus a PASS/FAIL summary. *)
 
 val to_json : report -> Darsie_obs.Json.t
-(** Machine-readable report (see {!Metrics.validate_check}). *)
+(** Machine-readable [check_report] document (see {!Metrics.validate}). *)

@@ -101,700 +101,304 @@ let of_run ~app ?(scale = 1) (r : Suite.run) =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Validation                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let ( let* ) r f = match r with Ok x -> f x | Error _ as e -> e
-
-let field name conv doc =
-  match Option.bind (J.member name doc) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
-
-let attrib_sum = function
-  | J.Obj fields ->
-    List.fold_left
-      (fun acc (_, v) -> match J.to_int v with Some i -> acc + i | None -> acc)
-      0 fields
-  | _ -> 0
-
-(* Structural check of an exported metrics document: schema version,
-   required blocks, and the stall-attribution invariant re-verified from
-   the serialized numbers (so a file written by an older/broken binary
-   fails loudly). *)
-let validate doc =
-  let* v = field "schema_version" J.to_int doc in
-  let* () =
-    (* Backward-tolerant: version-2 documents (pre machine_config, pre
-       mem_struct bucket) still validate — the conservation arguments
-       below hold for them unchanged. *)
-    if v >= 2 && v <= schema_version then Ok ()
-    else
-      Error
-        (Printf.sprintf "schema_version %d, expected 2..%d" v schema_version)
-  in
-  let* cycles = field "cycles" J.to_int doc in
-  let* num_sms = field "num_sms" J.to_int doc in
-  let* () =
-    match J.member "counters" doc with
-    | Some (J.Obj (_ :: _)) -> Ok ()
-    | _ -> Error "missing counters object"
-  in
-  let* () =
-    match J.member "app" doc, J.member "machine" doc with
-    | Some (J.String _), Some (J.String _) -> Ok ()
-    | _ -> Error "missing app/machine strings"
-  in
-  (* machine_config: required from schema_version 3 on, absent before.
-     The echoed [num_sms] knob is cross-checked against the document's
-     own top-level count so a spliced file fails loudly. *)
-  let* () =
-    match J.member "machine_config" doc with
-    | None -> if v < 3 then Ok ()
-              else Error "missing machine_config (schema_version 3 requires it)"
-    | Some (J.Obj fields as mc) ->
-      let* () =
-        match J.member "scheduler" mc with
-        | Some (J.String ("GTO" | "LRR")) -> Ok ()
-        | _ -> Error "machine_config.scheduler is not \"GTO\"/\"LRR\""
-      in
-      let* () =
-        match (J.member "fast_forward" mc, J.member "sync_at_branches" mc) with
-        | Some (J.Bool _), Some (J.Bool _) -> Ok ()
-        | _ -> Error "machine_config missing fast_forward/sync_at_branches"
-      in
-      let* () =
-        List.fold_left
-          (fun acc (k, jv) ->
-            let* () = acc in
-            match jv with
-            | J.Int i when i >= 0 -> Ok ()
-            | J.Int i ->
-              Error (Printf.sprintf "machine_config.%s is negative (%d)" k i)
-            | J.String _ | J.Bool _ -> Ok ()
-            | _ -> Error (Printf.sprintf "machine_config.%s is ill-typed" k))
-          (Ok ()) fields
-      in
-      (match J.member "num_sms" mc with
-       | Some (J.Int n) when n = num_sms -> Ok ()
-       | Some (J.Int n) ->
-         Error
-           (Printf.sprintf
-              "machine_config.num_sms (%d) disagrees with the document's \
-               num_sms (%d)"
-              n num_sms)
-       | _ -> Error "machine_config missing num_sms")
-    | Some _ -> Error "machine_config is not an object"
-  in
-  let* attr =
-    match J.member "stall_attribution" doc with
-    | Some a -> Ok a
-    | None -> Error "missing stall_attribution"
-  in
-  let* per_sm =
-    match J.member "per_sm" attr with
-    | Some (J.List l) -> Ok l
-    | _ -> Error "missing stall_attribution.per_sm"
-  in
-  let* () =
-    if List.length per_sm = num_sms then Ok ()
-    else Error "stall_attribution.per_sm length != num_sms"
-  in
-  let* () =
-    let bad =
-      List.filteri (fun _ a -> attrib_sum a <> cycles) per_sm
-    in
-    if bad = [] then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "per-SM stall attribution does not sum to cycles (%d SMs wrong)"
-           (List.length bad))
-  in
-  let* total =
-    match J.member "total" attr with
-    | Some a -> Ok a
-    | None -> Error "missing stall_attribution.total"
-  in
-  let* () =
-    if attrib_sum total = num_sms * cycles then Ok ()
-    else Error "total stall attribution != num_sms * cycles"
-  in
-  (* per_pc is additive but its key must be present from schema_version
-     2 on (null when the run was not profiled — a version that claims a
-     section may not silently omit it); when non-null its per-row stall
-     charges plus the unattributed remainder must reproduce the total
-     attribution — the serialized form of the Gpu.check_attribution
-     invariant. *)
-  let* () =
-    match J.member "per_pc" doc with
-    | None ->
-      Error "missing per_pc key (schema_version >= 2 requires it; null when \
-             the run was not profiled)"
-    | Some J.Null -> Ok ()
-    | Some per_pc ->
-      let* n = field "n" J.to_int per_pc in
-      let* rows =
-        match J.member "rows" per_pc with
-        | Some (J.List l) -> Ok l
-        | _ -> Error "per_pc missing rows list"
-      in
-      let* () =
-        if List.length rows = n then Ok ()
-        else Error "per_pc.rows length != per_pc.n"
-      in
-      let row_sum acc r =
-        match J.member "stall" r with
-        | Some s -> acc + attrib_sum s
-        | None -> acc
-      in
-      let charged = List.fold_left row_sum 0 rows in
-      let un =
-        match J.member "unattributed" per_pc with
-        | Some u -> attrib_sum u
-        | None -> 0
-      in
-      if charged + un = num_sms * cycles then Ok ()
-      else
-        Error
-          (Printf.sprintf
-             "per_pc stall charges (%d) + unattributed (%d) != num_sms * \
-              cycles (%d)"
-             charged un (num_sms * cycles))
-  in
-  (* The skip ledger is always on, so schema_version >= 2 requires the
-     section outright, and the validator re-proves the conservation
-     invariant from the serialized numbers — the Gpu.check_ledger
-     argument, replayed over the file. *)
-  match J.member "skip_ledger" doc with
-  | None -> Error "missing skip_ledger section (schema_version >= 2 requires it)"
-  | Some sl ->
-    let* expected_total = field "expected_total" J.to_int sl in
-    let* captured = field "captured" J.to_int sl in
-    let* totals =
-      match J.member "totals" sl with
-      | Some (J.Obj l) -> Ok l
-      | _ -> Error "skip_ledger missing totals object"
-    in
-    let int_of v = Option.value ~default:0 (J.to_int v) in
-    let totals_sum = List.fold_left (fun acc (_, v) -> acc + int_of v) 0 totals in
-    let* () =
-      if totals_sum = expected_total then Ok ()
-      else
-        Error
-          (Printf.sprintf
-             "skip_ledger fate totals sum to %d, expected_total is %d"
-             totals_sum expected_total)
-    in
-    let tot name =
-      match List.assoc_opt name totals with Some v -> int_of v | None -> 0
-    in
-    let* () =
-      if captured = tot "skipped" + tot "parked_waiting_leaderwb" then Ok ()
-      else Error "skip_ledger captured != skipped + parked_waiting_leaderwb"
-    in
-    let* rows =
-      match J.member "rows" sl with
-      | Some (J.List l) -> Ok l
-      | _ -> Error "skip_ledger missing rows list"
-    in
-    let* rows_expected =
-      List.fold_left
-        (fun acc r ->
-          let* sum = acc in
-          let* pc = field "pc" J.to_int r in
-          let* expected = field "expected" J.to_int r in
-          let fates =
-            match r with
-            | J.Obj fields ->
-              List.fold_left
-                (fun s (k, v) ->
-                  if k = "pc" || k = "expected" then s else s + int_of v)
-                0 fields
-            | _ -> 0
-          in
-          if fates = expected then Ok (sum + expected)
-          else
-            Error
-              (Printf.sprintf
-                 "skip_ledger row pc %d: %d fates recorded for %d eligible \
-                  occurrences"
-                 pc fates expected))
-        (Ok 0) rows
-    in
-    if rows_expected = expected_total then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "skip_ledger rows' eligible occurrences sum to %d, \
-            expected_total is %d"
-           rows_expected expected_total)
-
-let validate_string s =
-  let* doc =
-    match J.of_string s with Ok d -> Ok d | Error e -> Error ("bad JSON: " ^ e)
-  in
-  validate doc
-
-(* ------------------------------------------------------------------ *)
-(* Check-report documents (darsie check --json)                        *)
+(* Validation core                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let check_schema_version = 1
 
-let to_bool = function J.Bool b -> Some b | _ -> None
-
-(* Structural check of a check report, re-verifying the pass/fail logic
-   from the serialized values: an app passed iff it has no errors, the
-   report passed iff every app did, and every timing entry carries either
-   cycles or a typed error. *)
-let validate_check doc =
-  let* () =
-    match J.member "kind" doc with
-    | Some (J.String "check_report") -> Ok ()
-    | _ -> Error "kind is not \"check_report\""
-  in
-  let* v = field "schema_version" J.to_int doc in
-  let* () =
-    if v = check_schema_version then Ok ()
-    else
-      Error
-        (Printf.sprintf "schema_version %d, expected %d" v check_schema_version)
-  in
-  let* passed = field "passed" to_bool doc in
-  let* apps =
-    match J.member "apps" doc with
-    | Some (J.List l) -> Ok l
-    | _ -> Error "missing apps list"
-  in
-  let check_timing t =
-    let* ok = field "ok" to_bool t in
-    match (ok, J.member "cycles" t, J.member "error" t) with
-    | true, Some (J.Int c), _ when c >= 0 -> Ok ()
-    | false, _, Some (J.Obj _) -> Ok ()
-    | _ -> Error "timing entry lacks cycles (ok) or error object (failed)"
-  in
-  let check_app a =
-    let* _abbr =
-      match J.member "app" a with
-      | Some (J.String s) -> Ok s
-      | _ -> Error "app entry missing abbreviation"
-    in
-    let* app_passed = field "passed" to_bool a in
-    let* errors =
-      match J.member "errors" a with
-      | Some (J.List l) -> Ok l
-      | _ -> Error "app entry missing errors list"
-    in
-    let* () =
-      if app_passed = (errors = []) then Ok ()
-      else Error "app passed flag inconsistent with its errors list"
-    in
-    let* timing =
-      match J.member "timing" a with
-      | Some (J.List l) -> Ok l
-      | _ -> Error "app entry missing timing list"
-    in
-    let* () =
-      List.fold_left (fun acc t -> let* () = acc in check_timing t) (Ok ()) timing
-    in
-    Ok app_passed
-  in
-  let* all_passed =
-    List.fold_left
-      (fun acc a ->
-        let* all = acc in
-        let* p = check_app a in
-        Ok (all && p))
-      (Ok true) apps
-  in
-  if passed = all_passed then Ok ()
-  else Error "report passed flag inconsistent with its apps"
-
-let validate_check_string s =
-  let* doc =
-    match J.of_string s with Ok d -> Ok d | Error e -> Error ("bad JSON: " ^ e)
-  in
-  validate_check doc
-
-(* ------------------------------------------------------------------ *)
-(* Fuzz-campaign documents (darsie fuzz --json)                        *)
-(* ------------------------------------------------------------------ *)
-
 let fuzz_schema_version = 1
-
-(* Structural check of a fuzz-campaign report, re-verifying the
-   bookkeeping from the serialized values: style counts sum to the
-   kernel count, clean campaigns account every kernel as either passed
-   or failed, shrinking never grows a counterexample, and inject-mode
-   witnesses carry a site and a non-empty kernel when detected. *)
-let validate_fuzz doc =
-  let* () =
-    match J.member "kind" doc with
-    | Some (J.String "fuzz_campaign") -> Ok ()
-    | _ -> Error "kind is not \"fuzz_campaign\""
-  in
-  let* v = field "schema_version" J.to_int doc in
-  let* () =
-    if v = fuzz_schema_version then Ok ()
-    else
-      Error
-        (Printf.sprintf "schema_version %d, expected %d" v fuzz_schema_version)
-  in
-  let* count = field "count" J.to_int doc in
-  let* kernels = field "kernels" J.to_int doc in
-  let* () =
-    if kernels = count then Ok ()
-    else Error (Printf.sprintf "kernels %d does not match count %d" kernels count)
-  in
-  let* passed = field "passed" J.to_int doc in
-  let* inject = field "inject" to_bool doc in
-  let* style_sum =
-    match J.member "styles" doc with
-    | Some (J.Obj fields) ->
-      Ok
-        (List.fold_left
-           (fun acc (_, v) ->
-             match J.to_int v with Some i -> acc + i | None -> acc)
-           0 fields)
-    | _ -> Error "missing styles object"
-  in
-  let* () =
-    if style_sum = kernels then Ok ()
-    else
-      Error
-        (Printf.sprintf "style counts sum to %d, expected %d kernels" style_sum
-           kernels)
-  in
-  let* totals =
-    match J.member "totals" doc with
-    | Some (J.Obj _ as t) -> Ok t
-    | _ -> Error "missing totals object"
-  in
-  let* () =
-    List.fold_left
-      (fun acc name ->
-        let* () = acc in
-        let* n = field name J.to_int totals in
-        if n >= 0 then Ok ()
-        else Error (Printf.sprintf "negative total %S" name))
-      (Ok ())
-      [ "warp_insts"; "forwards"; "skips"; "cycles" ]
-  in
-  let* failures =
-    match J.member "failures" doc with
-    | Some (J.List l) -> Ok l
-    | _ -> Error "missing failures list"
-  in
-  let* () =
-    List.fold_left
-      (fun acc f ->
-        let* () = acc in
-        let* index = field "index" J.to_int f in
-        let* () =
-          if index >= 0 && index < count then Ok ()
-          else Error (Printf.sprintf "failure index %d out of range" index)
-        in
-        let* before = field "items_before" J.to_int f in
-        let* after = field "items_after" J.to_int f in
-        let* () =
-          if after <= before then Ok ()
-          else
-            Error
-              (Printf.sprintf "failure %d shrank %d items to %d (grew)" index
-                 before after)
-        in
-        match J.member "replay" f with
-        | Some (J.String s) when s <> "" -> Ok ()
-        | _ -> Error (Printf.sprintf "failure %d lacks a replay command" index))
-      (Ok ()) failures
-  in
-  let* injected =
-    match J.member "injected" doc with
-    | Some (J.List l) -> Ok l
-    | _ -> Error "missing injected list"
-  in
-  let* () =
-    if (not inject) && injected <> [] then
-      Error "clean campaign carries injected witnesses"
-    else if inject && failures <> [] then
-      Error "inject campaign carries clean-mode failures"
-    else Ok ()
-  in
-  let* () =
-    if inject || passed + List.length failures = kernels then Ok ()
-    else
-      Error
-        (Printf.sprintf "%d passed + %d failures does not cover %d kernels"
-           passed (List.length failures) kernels)
-  in
-  List.fold_left
-    (fun acc w ->
-      let* () = acc in
-      let* fault =
-        match J.member "fault" w with
-        | Some (J.String s) -> Ok s
-        | _ -> Error "witness lacks a fault kind"
-      in
-      let* detected = field "detected" to_bool w in
-      if not detected then Ok ()
-      else
-        let* _ = field "index" J.to_int w in
-        let* insts = field "instructions" J.to_int w in
-        let* () =
-          if insts >= 1 then Ok ()
-          else Error (Printf.sprintf "witness %s has an empty kernel" fault)
-        in
-        match J.member "site" w with
-        | Some (J.Obj _) -> Ok ()
-        | _ -> Error (Printf.sprintf "witness %s lacks an injection site" fault))
-    (Ok ()) injected
-
-let validate_fuzz_string s =
-  let* doc =
-    match J.of_string s with Ok d -> Ok d | Error e -> Error ("bad JSON: " ^ e)
-  in
-  validate_fuzz doc
-
-(* ------------------------------------------------------------------ *)
-(* Sensitivity-sweep documents (darsie experiment sensitivity --json)  *)
-(* ------------------------------------------------------------------ *)
 
 let sensitivity_schema_version = 1
 
-let to_float = function
-  | J.Float f -> Some f
-  | J.Int i -> Some (float_of_int i)
-  | _ -> None
+let telemetry_schema_version = Darsie_telemetry.Host_trace.schema_version
+
+(* A check raises [Invalid] naming the first identity it found broken. *)
+exception Invalid of string
+
+let fail fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt
+
+(* Dot-path selector: a name picks a field, "*" every list element or
+   object value. A missing field selects nothing. *)
+let select path doc =
+  let step js key =
+    List.concat_map
+      (fun j ->
+        match (key, j) with
+        | "*", J.List l -> l
+        | "*", J.Obj fields -> List.map snd fields
+        | _ -> Option.to_list (J.member key j))
+      js
+  in
+  List.fold_left step [ doc ] (String.split_on_char '.' path)
+
+let one path doc =
+  match select path doc with [ j ] -> j | _ -> fail "missing %s" path
+
+let typed what conv path doc =
+  match conv (one path doc) with
+  | Some v -> v
+  | None -> fail "%s is not %s" path what
+
+let int = typed "an integer" J.to_int
+
+let num =
+  typed "a number" (function
+    | J.Float f -> Some f | j -> Option.map float_of_int (J.to_int j))
+
+let str = typed "a string" (function J.String s -> Some s | _ -> None)
+
+let bool = typed "a boolean" (function J.Bool b -> Some b | _ -> None)
+
+let list = typed "a list" (function J.List l -> Some l | _ -> None)
+
+let obj = typed "an object" (function J.Obj f -> Some f | _ -> None)
+
+let add what js =
+  List.fold_left
+    (fun acc j ->
+      match J.to_int j with
+      | Some i -> acc + i
+      | None -> fail "%s is not an integer" what)
+    0 js
+
+(* Σ of the integers [path] selects. *)
+let sum path doc = add path (select path doc)
+
+let eq identity lhs rhs =
+  if lhs <> rhs then fail "%s (%d vs %d)" identity lhs rhs
+
+let between what lo hi v =
+  if v < lo then fail "%s = %d, below %d" what v lo;
+  if v > hi then fail "%s = %d, above %d" what v hi
+
+let each path doc f = List.iter f (list path doc)
+
+(* Every key of the object at [total] is the sum of that key over the
+   objects [parts] select (a part without the key counts 0). *)
+let columns total parts doc =
+  List.iter
+    (fun (k, v) ->
+      let column p = List.filter_map (J.member k) (select p doc) in
+      let what = Printf.sprintf "%s.%s" total k in
+      eq
+        (Printf.sprintf "%s = sum %s" what
+           (String.concat " + " (List.map (fun p -> p ^ "." ^ k) parts)))
+        (add what [ v ])
+        (add what (List.concat_map column parts)))
+    (obj total doc)
+
+(* One check per document kind. The metrics document accepts versions
+   2..current: version 2 predates the machine_config echo and the
+   mem_struct bucket, and every identity below is bucket-name-agnostic. *)
+let check_metrics doc =
+  let v = int "schema_version" doc in
+  between "schema_version" 2 schema_version v;
+  let cycles = int "cycles" doc and num_sms = int "num_sms" doc in
+  ignore (str "app" doc, str "machine" doc);
+  if obj "counters" doc = [] then fail "counters is empty";
+  if v >= 3 || J.member "machine_config" doc <> None then begin
+    List.iter
+      (fun (k, j) ->
+        match j with
+        | J.Int i when i < 0 -> fail "machine_config.%s is negative" k
+        | J.Int _ | J.String _ | J.Bool _ -> ()
+        | _ -> fail "machine_config.%s is ill-typed" k)
+      (obj "machine_config" doc);
+    if not (List.mem (str "machine_config.scheduler" doc) [ "GTO"; "LRR" ])
+    then fail "machine_config.scheduler is not GTO or LRR";
+    ignore (bool "machine_config.fast_forward" doc);
+    ignore (bool "machine_config.sync_at_branches" doc);
+    eq "machine_config.num_sms = num_sms"
+      (int "machine_config.num_sms" doc) num_sms
+  end;
+  eq "length stall_attribution.per_sm = num_sms"
+    (List.length (list "stall_attribution.per_sm" doc)) num_sms;
+  each "stall_attribution.per_sm" doc (fun a ->
+      eq "sum of an SM's stall buckets = cycles" (sum "*" a) cycles);
+  eq "sum stall_attribution.total = num_sms * cycles"
+    (sum "stall_attribution.total.*" doc) (num_sms * cycles);
+  columns "stall_attribution.total" [ "stall_attribution.per_sm.*" ] doc;
+  (* per_pc is null unless the run was profiled; its charges are the
+     aggregate of what Gpu.check_attribution checks per SM *)
+  if one "per_pc" doc <> J.Null then begin
+    eq "length per_pc.rows = per_pc.n"
+      (List.length (list "per_pc.rows" doc)) (int "per_pc.n" doc);
+    eq "sum per_pc stall charges + unattributed = num_sms * cycles"
+      (sum "per_pc.rows.*.stall.*" doc + sum "per_pc.unattributed.*" doc)
+      (num_sms * cycles);
+    columns "stall_attribution.total"
+      [ "per_pc.rows.*.stall"; "per_pc.unattributed" ] doc
+  end;
+  (* the skip ledger, always on: Gpu.check_ledger over the file *)
+  let expected = int "skip_ledger.expected_total" doc in
+  eq "sum skip_ledger.totals = expected_total"
+    (sum "skip_ledger.totals.*" doc) expected;
+  eq "skip_ledger.captured = skipped + parked_waiting_leaderwb"
+    (int "skip_ledger.captured" doc)
+    (int "skip_ledger.totals.skipped" doc
+    + int "skip_ledger.totals.parked_waiting_leaderwb" doc);
+  each "skip_ledger.rows" doc (fun r ->
+      eq
+        (Printf.sprintf "skip_ledger row pc %d: sum of fates = expected"
+           (int "pc" r))
+        (sum "*" r - int "pc" r - int "expected" r)
+        (int "expected" r));
+  eq "sum skip_ledger.rows.*.expected = expected_total"
+    (sum "skip_ledger.rows.*.expected" doc) expected;
+  columns "skip_ledger.totals" [ "skip_ledger.rows.*" ] doc
+
+(* darsie check --json: an app passed iff it has no errors, the report
+   iff every app did, and each timing entry carries cycles or an error. *)
+let check_report doc =
+  eq "schema_version" (int "schema_version" doc) check_schema_version;
+  each "apps" doc (fun a ->
+      let app = str "app" a in
+      if bool "passed" a <> (list "errors" a = []) then
+        fail "app %s: passed flag disagrees with its errors list" app;
+      each "timing" a (fun t ->
+          match (bool "ok" t, J.member "cycles" t, J.member "error" t) with
+          | true, Some (J.Int c), _ when c >= 0 -> ()
+          | false, _, Some (J.Obj _) -> ()
+          | _ -> fail "app %s: timing entry lacks cycles or an error" app));
+  if bool "passed" doc <> List.for_all (bool "passed") (list "apps" doc) then
+    fail "report passed flag disagrees with its apps"
+
+(* darsie fuzz --json: every kernel is counted once by style and, in a
+   clean campaign, once as passed or failed; shrinking never grows a
+   counterexample; detected inject witnesses carry a site and a kernel. *)
+let check_fuzz doc =
+  eq "schema_version" (int "schema_version" doc) fuzz_schema_version;
+  let count = int "count" doc and kernels = int "kernels" doc in
+  eq "kernels = count" kernels count;
+  ignore (obj "styles" doc);
+  eq "sum styles = kernels" (sum "styles.*" doc) kernels;
+  List.iter
+    (fun k -> between ("totals." ^ k) 0 max_int (int ("totals." ^ k) doc))
+    [ "warp_insts"; "forwards"; "skips"; "cycles" ];
+  let passed = int "passed" doc and inject = bool "inject" doc in
+  let failures = list "failures" doc and injected = list "injected" doc in
+  each "failures" doc (fun f ->
+      let i = int "index" f in
+      between "failure index" 0 (count - 1) i;
+      if int "items_after" f > int "items_before" f then
+        fail "failure %d grew when shrunk" i;
+      if str "replay" f = "" then fail "failure %d lacks a replay command" i);
+  if (not inject) && injected <> [] then
+    fail "clean campaign carries injected witnesses";
+  if inject && failures <> [] then
+    fail "inject campaign carries clean-mode failures";
+  if not inject then
+    eq "passed + failures = kernels" (passed + List.length failures) kernels;
+  each "injected" doc (fun w ->
+      let fault = str "fault" w in
+      if bool "detected" w then begin
+        ignore (int "index" w, obj "site" w);
+        if int "instructions" w < 1 then
+          fail "witness %s has an empty kernel" fault
+      end)
 
 (* Two serialized floats agree up to printing/re-parsing noise. *)
 let close a b =
   Float.abs (a -. b)
   <= 1e-6 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
-(* Structural check of a sensitivity-sweep document, re-deriving every
-   derived number from the serialized raw cycles: each app's speedup
-   must equal base_cycles / darsie_cycles, each cell's geomean must
-   equal the geomean of its app speedups, each cell must cover exactly
-   the apps the header lists, and the swept knob values must be sane
-   (issue_width >= 1, mshrs >= 0, smem_banks >= 0). *)
-let validate_sensitivity doc =
-  let* () =
-    match J.member "kind" doc with
-    | Some (J.String "sensitivity_sweep") -> Ok ()
-    | _ -> Error "kind is not \"sensitivity_sweep\""
+(* darsie experiment sensitivity --json: every derived number re-derived
+   from the raw cycles, every cell covering exactly the listed apps. *)
+let check_sensitivity doc =
+  eq "schema_version" (int "schema_version" doc) sensitivity_schema_version;
+  ignore (int "scale" doc);
+  between "smem_banks" 0 max_int (int "smem_banks" doc);
+  let apps =
+    List.map
+      (function J.String s -> s | _ -> fail "apps entry is not a string")
+      (list "apps" doc)
   in
-  let* v = field "schema_version" J.to_int doc in
-  let* () =
-    if v = sensitivity_schema_version then Ok ()
-    else
-      Error
-        (Printf.sprintf "schema_version %d, expected %d" v
-           sensitivity_schema_version)
-  in
-  let* _scale = field "scale" J.to_int doc in
-  let* banks = field "smem_banks" J.to_int doc in
-  let* () =
-    if banks >= 0 then Ok ()
-    else Error (Printf.sprintf "negative smem_banks (%d)" banks)
-  in
-  let* apps =
-    match J.member "apps" doc with
-    | Some (J.List l) ->
-      List.fold_left
-        (fun acc a ->
-          let* names = acc in
-          match a with
-          | J.String s -> Ok (s :: names)
-          | _ -> Error "apps entry is not a string")
-        (Ok []) l
-      |> Result.map List.rev
-    | _ -> Error "missing apps list"
-  in
-  let* () = if apps <> [] then Ok () else Error "empty apps list" in
-  let* cells =
-    match J.member "cells" doc with
-    | Some (J.List l) -> Ok l
-    | _ -> Error "missing cells list"
-  in
-  let* () = if cells <> [] then Ok () else Error "empty cells list" in
-  List.fold_left
-    (fun acc cell ->
-      let* () = acc in
-      let* iw = field "issue_width" J.to_int cell in
-      let* m = field "mshrs" J.to_int cell in
-      let* () =
-        if iw >= 1 then Ok ()
-        else Error (Printf.sprintf "cell issue_width %d < 1" iw)
+  if apps = [] then fail "empty apps list";
+  if list "cells" doc = [] then fail "empty cells list";
+  each "cells" doc (fun c ->
+      let iw = int "issue_width" c and m = int "mshrs" c in
+      let cell = Printf.sprintf "cell issue_width=%d mshrs=%d" iw m in
+      between (cell ^ ": issue_width") 1 max_int iw;
+      between (cell ^ ": mshrs") 0 max_int m;
+      let speedup r =
+        let app = str "app" r and sp = num "speedup" r in
+        let base = int "base_cycles" r and darsie = int "darsie_cycles" r in
+        if base <= 0 || darsie <= 0 then
+          fail "%s: app %s has non-positive cycles" cell app;
+        if not (close sp (float_of_int base /. float_of_int darsie)) then
+          fail "%s: app %s speedup %g <> %d / %d" cell app sp base darsie;
+        sp
       in
-      let* () =
-        if m >= 0 then Ok ()
-        else Error (Printf.sprintf "cell mshrs %d < 0" m)
-      in
-      let label = Printf.sprintf "cell issue_width=%d mshrs=%d" iw m in
-      let* rows =
-        match J.member "speedups" cell with
-        | Some (J.List l) -> Ok l
-        | _ -> Error (label ^ " missing speedups list")
-      in
-      let* speedups =
-        List.fold_left
-          (fun acc r ->
-            let* sps = acc in
-            let* app =
-              match J.member "app" r with
-              | Some (J.String s) -> Ok s
-              | _ -> Error (label ^ ": speedup row missing app string")
-            in
-            let* base = field "base_cycles" J.to_int r in
-            let* darsie = field "darsie_cycles" J.to_int r in
-            let* sp = field "speedup" to_float r in
-            let* () =
-              if base > 0 && darsie > 0 then Ok ()
-              else
-                Error
-                  (Printf.sprintf "%s: app %s has non-positive cycles" label
-                     app)
-            in
-            if close sp (float_of_int base /. float_of_int darsie) then
-              Ok ((app, sp) :: sps)
-            else
-              Error
-                (Printf.sprintf
-                   "%s: app %s speedup %g does not equal %d / %d" label app
-                   sp base darsie))
-          (Ok []) rows
-        |> Result.map List.rev
-      in
-      let* () =
-        if List.map fst speedups = apps then Ok ()
-        else Error (label ^ " does not cover exactly the listed apps")
-      in
-      let* g = field "geomean" to_float cell in
-      if close g (Stats_util.geomean (List.map snd speedups)) then Ok ()
-      else
-        Error
-          (Printf.sprintf
-             "%s: geomean %g does not reproduce from the app speedups" label g))
-    (Ok ()) cells
+      let rows = list "speedups" c in
+      let speedups = List.map speedup rows in
+      if List.map (str "app") rows <> apps then
+        fail "%s does not cover exactly the listed apps" cell;
+      if not (close (num "geomean" c) (Stats_util.geomean speedups)) then
+        fail "%s: geomean does not reproduce from the app speedups" cell)
 
-let validate_sensitivity_string s =
-  let* doc =
-    match J.of_string s with Ok d -> Ok d | Error e -> Error ("bad JSON: " ^ e)
-  in
-  validate_sensitivity doc
+(* --telemetry FILE, or a bare host_telemetry section: the span clock's
+   integer identities, Σ phase self_ns = Σ domain busy_ns exactly. *)
+let check_telemetry doc =
+  if J.member "traceEvents" doc <> None then begin
+    if list "traceEvents" doc = [] then fail "traceEvents is empty";
+    each "traceEvents" doc (fun e -> ignore (one "ph" e))
+  end;
+  let s = Option.value (J.member "host_telemetry" doc) ~default:doc in
+  if str "kind" s <> "host_telemetry" then fail "kind is not host_telemetry";
+  eq "schema_version" (int "schema_version" s) telemetry_schema_version;
+  let wall = int "wall_ns" s in
+  between "wall_ns" 0 max_int wall;
+  each "phases" s (fun p ->
+      let name = str "name" p in
+      between (Printf.sprintf "phase %S count" name) 1 max_int (int "count" p);
+      between (Printf.sprintf "phase %S self_ns" name) 0 (int "total_ns" p)
+        (int "self_ns" p));
+  each "domains" s (fun d ->
+      let id = int "id" d and busy = int "busy_ns" d in
+      between (Printf.sprintf "domain %d busy_ns" id) 0 wall busy;
+      eq (Printf.sprintf "domain %d: busy_ns + idle_ns = wall_ns" id)
+        (busy + int "idle_ns" d) wall);
+  eq "sum phases.*.self_ns = sum domains.*.busy_ns"
+    (sum "phases.*.self_ns" s) (sum "domains.*.busy_ns" s);
+  List.iter
+    (fun (k, v) ->
+      let what = "counters." ^ k in
+      between what 0 max_int (add what [ v ]))
+    (obj "counters" s)
 
-(* ------------------------------------------------------------------ *)
-(* Host-telemetry documents (--telemetry FILE)                         *)
-(* ------------------------------------------------------------------ *)
+let checks =
+  [
+    ("metrics", check_metrics);
+    ("check_report", check_report);
+    ("fuzz_campaign", check_fuzz);
+    ("sensitivity_sweep", check_sensitivity);
+    ("host_telemetry", check_telemetry);
+    ( "bench_record",
+      fun doc ->
+        match Trendline.of_json doc with Ok _ -> () | Error e -> fail "%s" e );
+  ]
 
-let telemetry_schema_version = Darsie_telemetry.Host_trace.schema_version
+let kinds = List.map fst checks
 
-(* Structural check of a host_telemetry section (or of a full telemetry
-   document carrying one), re-proving the self-time accounting from the
-   serialized integers: every phase's self wall is within [0, total],
-   every domain's busy+idle reproduces the snapshot wall, and the sum of
-   phase self-times equals the sum of domain busy times exactly — the
-   integer identity the monotone span clock guarantees at capture. *)
-let validate_telemetry doc =
-  let section =
-    match J.member "host_telemetry" doc with Some s -> s | None -> doc
-  in
-  let* () =
-    (match J.member "traceEvents" doc with
-    | None | Some (J.List _) -> Ok ()
-    | Some _ -> Error "traceEvents is not a list")
-  in
-  let* () =
-    match J.member "kind" section with
-    | Some (J.String "host_telemetry") -> Ok ()
-    | _ -> Error "kind is not \"host_telemetry\""
-  in
-  let* v = field "schema_version" J.to_int section in
-  let* () =
-    if v = telemetry_schema_version then Ok ()
-    else
-      Error
-        (Printf.sprintf "schema_version %d, expected %d" v
-           telemetry_schema_version)
-  in
-  let* wall_ns = field "wall_ns" J.to_int section in
-  let* () = if wall_ns >= 0 then Ok () else Error "negative wall_ns" in
-  let* phases =
-    match J.member "phases" section with
-    | Some (J.List l) -> Ok l
-    | _ -> Error "missing phases list"
-  in
-  let* self_sum =
-    List.fold_left
-      (fun acc p ->
-        let* sum = acc in
-        let* name =
-          match J.member "name" p with
-          | Some (J.String s) -> Ok s
-          | _ -> Error "phase entry missing name"
-        in
-        let* count = field "count" J.to_int p in
-        let* total = field "total_ns" J.to_int p in
-        let* self = field "self_ns" J.to_int p in
-        if count < 1 then
-          Error (Printf.sprintf "phase %S has count %d" name count)
-        else if self < 0 || self > total then
-          Error
-            (Printf.sprintf
-               "phase %S breaks the self-time bound: self %d ns not in [0, \
-                total %d ns]"
-               name self total)
-        else Ok (sum + self))
-      (Ok 0) phases
-  in
-  let* domains =
-    match J.member "domains" section with
-    | Some (J.List l) -> Ok l
-    | _ -> Error "missing domains list"
-  in
-  let* busy_sum =
-    List.fold_left
-      (fun acc d ->
-        let* sum = acc in
-        let* id = field "id" J.to_int d in
-        let* busy = field "busy_ns" J.to_int d in
-        let* idle = field "idle_ns" J.to_int d in
-        if busy < 0 || idle < 0 then
-          Error (Printf.sprintf "domain %d has negative busy/idle" id)
-        else if busy + idle <> wall_ns then
-          Error
-            (Printf.sprintf
-               "domain %d: busy %d + idle %d != wall %d ns" id busy idle
-               wall_ns)
-        else Ok (sum + busy))
-      (Ok 0) domains
-  in
-  let* () =
-    if self_sum = busy_sum then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "phase self-times sum to %d ns but domain busy times sum to %d ns"
-           self_sum busy_sum)
-  in
-  match J.member "counters" section with
-  | Some (J.Obj fields) ->
-    List.fold_left
-      (fun acc (k, v) ->
-        let* () = acc in
-        match J.to_int v with
-        | Some i when i >= 0 -> Ok ()
-        | Some i -> Error (Printf.sprintf "counter %S is negative (%d)" k i)
-        | None -> Error (Printf.sprintf "counter %S is not an integer" k))
-      (Ok ()) fields
-  | _ -> Error "missing counters object"
+let kind_of doc =
+  match (doc, J.member "kind" doc) with
+  | J.Obj _, Some (J.String k) when List.mem_assoc k checks -> Ok k
+  | J.Obj _, Some k -> Error ("unknown document kind " ^ J.to_string k)
+  | J.Obj _, None when J.member "host_telemetry" doc <> None ->
+    Ok "host_telemetry"
+  | J.Obj _, None when J.member "traceEvents" doc <> None ->
+    Error "a bare Chrome trace (traceEvents without host_telemetry)"
+  | J.Obj _, None -> Ok "metrics"
+  | _ -> Error "not a JSON object"
 
-let validate_telemetry_string s =
-  let* doc =
-    match J.of_string s with Ok d -> Ok d | Error e -> Error ("bad JSON: " ^ e)
-  in
-  validate_telemetry doc
+let validate doc =
+  Result.bind (kind_of doc) (fun kind ->
+      try Ok (List.assoc kind checks doc) with Invalid msg -> Error msg)
+
+let validate_string s =
+  match J.of_string s with
+  | Ok doc -> validate doc
+  | Error e -> Error ("bad JSON: " ^ e)
 
 let write_file path doc =
   let oc = open_out path in

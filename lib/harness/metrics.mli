@@ -1,12 +1,15 @@
-(** The machine-readable metrics document.
+(** The machine-readable metrics document, and the one validator for
+    every JSON document the toolchain writes.
 
-    One JSON object per (app, machine) run: every raw counter, the
+    One metrics document per (app, machine) run: every raw counter, the
     derived metrics, the per-SM stall-cycle attribution, the sampled
-    time-series and the energy breakdown, all under a versioned schema
-    (see EXPERIMENTS.md "Profiling and metrics" for the layout).
-    {!validate} re-checks the attribution invariant from the serialized
-    numbers, which is what [make profile-smoke] and CI run against
-    exported files. *)
+    time-series, the per-PC profile, the skip ledger and the energy
+    breakdown, all under a versioned schema (docs/metrics-schema.md).
+
+    {!validate} detects a document's kind ({!kind_of}) and re-proves
+    that kind's identities from the serialized numbers. The CLI runs it
+    on every document before writing it, and [darsie validate FILE...]
+    runs it on files. *)
 
 val schema_version : int
 (** Version of the metrics document; equals
@@ -19,74 +22,46 @@ val of_run : app:string -> ?scale:int -> Suite.run -> Darsie_obs.Json.t
     profile, and the energy breakdown. [scale] defaults to 1 and is
     recorded verbatim. *)
 
-val validate : Darsie_obs.Json.t -> (unit, string) result
-(** Structural check of a metrics document: schema version, required
-    fields, and the attribution conservation invariants re-computed from
-    the serialized numbers (per-SM buckets sum to [cycles], totals sum to
-    [num_sms * cycles], per-PC charges plus unattributed cover every
-    cycle). Backward-tolerant: accepts schema version 2 documents (which
-    predate the [machine_config] echo) as well as the current version 3,
-    where [machine_config] is required and its echoed [num_sms] must
-    agree with the document's own count. *)
-
-val validate_string : string -> (unit, string) result
-(** Parse then {!validate}. *)
-
 val check_schema_version : int
 (** Version of the check-report document ({!Checker.to_json}). *)
 
-val validate_check : Darsie_obs.Json.t -> (unit, string) result
-(** Structural check of a check report: kind tag, schema version, and the
-    pass/fail logic re-verified from the serialized values (app passed iff
-    no errors, report passed iff every app passed, timing entries carry
-    cycles or a typed error). *)
-
-val validate_check_string : string -> (unit, string) result
-(** Parse then {!validate_check}. *)
-
 val fuzz_schema_version : int
 (** Version of the fuzz-campaign document ([darsie fuzz --json]). *)
-
-val validate_fuzz : Darsie_obs.Json.t -> (unit, string) result
-(** Structural check of a fuzz-campaign report: kind tag, schema
-    version, and the campaign bookkeeping re-verified from the
-    serialized values (style counts sum to the kernel count, every
-    kernel is accounted passed or failed, shrinking never grew a
-    counterexample, every failure carries a replay command line, and
-    detected inject-mode witnesses carry a site and a non-empty
-    kernel). *)
-
-val validate_fuzz_string : string -> (unit, string) result
-(** Parse then {!validate_fuzz}. *)
 
 val sensitivity_schema_version : int
 (** Version of the sensitivity-sweep document
     ([darsie experiment sensitivity --json]). *)
 
-val validate_sensitivity : Darsie_obs.Json.t -> (unit, string) result
-(** Structural check of a sensitivity-sweep document: kind tag, schema
-    version, and every derived number re-computed from the serialized
-    raw cycles — each app's speedup equals
-    [base_cycles /. darsie_cycles], each cell's geomean reproduces from
-    its app speedups, and each cell covers exactly the apps the header
-    lists. *)
-
-val validate_sensitivity_string : string -> (unit, string) result
-(** Parse then {!validate_sensitivity}. *)
-
 val telemetry_schema_version : int
 (** Version of the [host_telemetry] section
     ([Darsie_telemetry.Host_trace.schema_version]). *)
 
-val validate_telemetry : Darsie_obs.Json.t -> (unit, string) result
-(** Structural check of a [host_telemetry] section, or of a full
-    [--telemetry] document carrying one: kind tag, schema version, and
-    the self-time accounting re-proved from the serialized integers —
-    [0 <= self_ns <= total_ns] for every phase, [busy + idle = wall] for
-    every domain, and [Σ phase self = Σ domain busy] exactly. *)
+val kinds : string list
+(** Every document kind {!validate} knows: ["metrics"],
+    ["check_report"], ["fuzz_campaign"], ["sensitivity_sweep"],
+    ["host_telemetry"] and ["bench_record"]. *)
 
-val validate_telemetry_string : string -> (unit, string) result
-(** Parse then {!validate_telemetry}. *)
+val kind_of : Darsie_obs.Json.t -> (string, string) result
+(** The kind of a document: its ["kind"] tag when it has one (an
+    unknown tag is an error); ["host_telemetry"] for an untagged object
+    carrying a [host_telemetry] member; ["metrics"] for any other
+    untagged object. A bare Chrome trace ([traceEvents] without
+    [host_telemetry]) and a non-object are errors. *)
+
+val validate : Darsie_obs.Json.t -> (unit, string) result
+(** Detect the kind, then re-check it; [Error] names the first broken
+    identity. A metrics document (schema version 2 or 3) must have
+    per-SM stall buckets summing to [cycles], [stall_attribution.total]
+    equal to the bucket-wise sum of [per_sm], per-PC charges plus
+    [unattributed] equal to [total] bucket by bucket, and a conserving
+    skip ledger ([totals] equal to the fate-wise sum of [rows]). The
+    other kinds re-prove their bookkeeping: check-report pass flags,
+    fuzz-campaign counts, sensitivity speedups and geomeans, and the
+    telemetry span clock ([Σ phase self_ns = Σ domain busy_ns]). A
+    bench record is checked by decoding it with {!Trendline.of_json}. *)
+
+val validate_string : string -> (unit, string) result
+(** Parse then {!validate}. *)
 
 val write_file : string -> Darsie_obs.Json.t -> unit
 (** Write any JSON document to [path]: pretty-printed, trailing

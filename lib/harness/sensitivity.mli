@@ -61,4 +61,4 @@ val render : t -> string
 
 val to_json : t -> Darsie_obs.Json.t
 (** The versioned [sensitivity_sweep] document;
-    {!Metrics.validate_sensitivity} re-derives every number in it. *)
+    {!Metrics.validate} re-derives every number in it. *)

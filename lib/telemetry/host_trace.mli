@@ -26,7 +26,7 @@ val chrome_events : Telemetry.snapshot -> Darsie_obs.Json.t list
 val host_telemetry_json : Telemetry.snapshot -> Darsie_obs.Json.t
 (** The versioned summary section: per-phase [count]/[total_ns]/[self_ns],
     counter totals, wall meters, and per-domain busy/idle. Validated by
-    [Darsie_harness.Metrics.validate_telemetry]. *)
+    [Darsie_harness.Metrics.validate]. *)
 
 val document : Telemetry.snapshot -> Darsie_obs.Json.t
 (** [traceEvents] + [displayTimeUnit] + [host_telemetry] in one object. *)

@@ -445,10 +445,10 @@ let test_check_report_json () =
   let apps = [ good_workload "OK1"; poisoned_workload ] in
   let report = Checker.check_suite ~oracle:false ~apps () in
   let doc = Checker.to_json report in
-  (match Darsie_harness.Metrics.validate_check doc with
+  (match Darsie_harness.Metrics.validate doc with
   | Ok () -> ()
   | Error m -> Alcotest.failf "report invalid: %s" m);
-  (match Darsie_harness.Metrics.validate_check_string (Obs.Json.to_string doc) with
+  (match Darsie_harness.Metrics.validate_string (Obs.Json.to_string doc) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "round-trip invalid: %s" m);
   (* tampering with the pass flag must be caught *)
@@ -463,7 +463,7 @@ let test_check_report_json () =
            fields)
     | _ -> Alcotest.fail "report is not an object"
   in
-  match Darsie_harness.Metrics.validate_check tampered with
+  match Darsie_harness.Metrics.validate tampered with
   | Ok () -> Alcotest.fail "tampered report accepted"
   | Error _ -> ()
 

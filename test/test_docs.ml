@@ -1,8 +1,8 @@
 (* Keeps docs/metrics-schema.md and EXPERIMENTS.md honest: every JSON
-   example tagged with a [<!-- validate: kind -->] comment is extracted
-   and fed through the validator for that kind, so the documented
-   schema cannot drift from what the exporters and validators actually
-   implement. *)
+   example tagged with a [<!-- validate: KIND -->] comment is extracted,
+   its kind detected by [Metrics.kind_of] must equal the tag, and it
+   must pass [Metrics.validate], so the documented schema cannot drift
+   from what the exporters and the validator actually implement. *)
 
 open Darsie_harness
 module J = Darsie_obs.Json
@@ -61,19 +61,16 @@ let extract_examples path =
   List.rev !examples
 
 let validate_example e =
-  let result =
-    match e.kind with
-    | "metrics" -> Metrics.validate_string e.json
-    | "check" -> Metrics.validate_check_string e.json
-    | "trendline" -> (
-      match J.of_string e.json with
-      | Error msg -> Error msg
-      | Ok j -> Result.map ignore (Trendline.of_json j))
-    | "sensitivity" -> Metrics.validate_sensitivity_string e.json
-    | "host_telemetry" -> Metrics.validate_telemetry_string e.json
-    | other -> Error (Printf.sprintf "unknown validate kind %S" other)
+  let doc =
+    match J.of_string e.json with
+    | Ok doc -> doc
+    | Error msg -> Alcotest.failf "%s:%d: bad JSON: %s" e.src e.line msg
   in
-  match result with
+  (match Metrics.kind_of doc with
+  | Ok k when k = e.kind -> ()
+  | Ok k -> Alcotest.failf "%s:%d: tagged %s, detected %s" e.src e.line e.kind k
+  | Error msg -> Alcotest.failf "%s:%d: no kind: %s" e.src e.line msg);
+  match Metrics.validate doc with
   | Ok () -> ()
   | Error msg ->
     Alcotest.failf "%s:%d: %s example rejected: %s" e.src e.line e.kind msg
@@ -87,18 +84,17 @@ let test_examples_validate () =
   List.iter validate_example examples;
   List.iter validate_example cookbook;
   let count k = List.length (List.filter (fun e -> e.kind = k) examples) in
-  (* the doc must keep at least one live example per document kind, and a
-     profiled metrics document exercising the per_pc validator *)
+  (* the doc must keep at least one live example per document kind the
+     validator knows, and a profiled metrics document exercising the
+     per_pc identities *)
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) ("a " ^ k ^ " example") true (count k >= 1))
+    Metrics.kinds;
   Alcotest.(check bool) "at least two metrics examples" true (count "metrics" >= 2);
-  Alcotest.(check bool) "a check-report example" true (count "check" >= 1);
-  Alcotest.(check bool) "a trendline example" true (count "trendline" >= 1);
-  Alcotest.(check bool) "a sensitivity example" true
-    (count "sensitivity" >= 1);
-  Alcotest.(check bool) "a host-telemetry example" true
-    (count "host_telemetry" >= 1);
   (* the EXPERIMENTS.md sweep cookbook must keep its measured excerpt *)
   Alcotest.(check bool) "a cookbook sensitivity excerpt" true
-    (List.exists (fun e -> e.kind = "sensitivity") cookbook)
+    (List.exists (fun e -> e.kind = "sensitivity_sweep") cookbook)
 
 (* The doc's versioning table quotes the constants; make sure the quoted
    numbers track the code. *)
@@ -117,6 +113,8 @@ let test_versions_quoted () =
     (contains (quoted "Darsie_obs.Export.schema_version" Metrics.schema_version));
   Alcotest.(check bool) "check version quoted" true
     (contains (quoted "Metrics.check_schema_version" Metrics.check_schema_version));
+  Alcotest.(check bool) "fuzz version quoted" true
+    (contains (quoted "Metrics.fuzz_schema_version" Metrics.fuzz_schema_version));
   Alcotest.(check bool) "trendline version quoted" true
     (contains (quoted "Trendline.schema_version" Trendline.schema_version));
   Alcotest.(check bool) "sensitivity version quoted" true

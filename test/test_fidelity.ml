@@ -199,7 +199,7 @@ let test_sensitivity_sweep () =
   check_int "one cell per swept point" 2 (List.length t.Sens.cells);
   check_int "one speedup per app per cell" 2
     (List.length (List.hd t.Sens.cells).Sens.speedups);
-  (match Darsie_harness.Metrics.validate_sensitivity (Sens.to_json t) with
+  (match Darsie_harness.Metrics.validate (Sens.to_json t) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "sensitivity validate: %s" e);
   (* renderer smoke: the table closes with the geomean row *)

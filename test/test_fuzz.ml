@@ -237,7 +237,7 @@ let test_campaign_jobs_identical () =
     (Campaign.render r3);
   check_bool "json identical at -j 1 and -j 3" true
     (Campaign.to_json r1 = Campaign.to_json r3);
-  match Darsie_harness.Metrics.validate_fuzz (Campaign.to_json r1) with
+  match Darsie_harness.Metrics.validate (Campaign.to_json r1) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "fuzz report does not validate: %s" m
 

@@ -122,6 +122,55 @@ let test_fig6_contains_markings () =
   check_bool "has DR lines" true
     (List.exists (fun l -> String.length l >= 2 && String.sub l 0 2 = "DR") lines)
 
+(* A fresh document from every real writer is detected as its own kind
+   and passes the one validator; an unknown kind tag is rejected. *)
+let test_writers_validate () =
+  let module J = Darsie_obs.Json in
+  let m = Lazy.force small_matrix in
+  let fws = Darsie_workloads.Fast_walsh.workload in
+  let campaign =
+    Darsie_fuzz.Campaign.run
+      {
+        Darsie_fuzz.Campaign.seed = 0;
+        count = 3;
+        jobs = Some 1;
+        max_shrink = 0;
+        corpus_dir = None;
+        inject = false;
+        base_cfg = Darsie_timing.Config.default;
+      }
+  in
+  let docs =
+    [
+      ("metrics", Metrics.of_run ~app:"FWS" (Suite.get m "FWS" Suite.Darsie));
+      ( "check_report",
+        Checker.to_json (Checker.check_suite ~oracle:false ~apps:[ fws ] ()) );
+      ("fuzz_campaign", Darsie_fuzz.Campaign.to_json campaign);
+      ( "sensitivity_sweep",
+        Sensitivity.to_json
+          (Sensitivity.run ~apps:[ fws ] ~issue_widths:[ 1 ] ~mshr_limits:[ 0 ]
+             ~smem_banks:0 ()) );
+      ( "host_telemetry",
+        Darsie_telemetry.Host_trace.document
+          (Darsie_telemetry.Telemetry.snapshot ()) );
+      ( "bench_record",
+        Trendline.to_json
+          (Trendline.of_matrix ~date:"2026-01-01" ~label:"test" ~wall_s:1.0
+             ~repeats:1 m) );
+    ]
+  in
+  List.iter
+    (fun (kind, doc) ->
+      Alcotest.(check (result string string))
+        (kind ^ " detected") (Ok kind) (Metrics.kind_of doc);
+      Alcotest.(check (result unit string))
+        (kind ^ " validates") (Ok ()) (Metrics.validate doc))
+    docs;
+  Alcotest.(check (list string)) "a writer per kind" Metrics.kinds
+    (List.map fst docs);
+  check_bool "unknown kind rejected" true
+    (Result.is_error (Metrics.validate (J.Obj [ ("kind", J.String "bogus") ])))
+
 let () =
   Alcotest.run "darsie_harness"
     [
@@ -141,5 +190,10 @@ let () =
           Alcotest.test_case "small matrix" `Quick test_figures_on_small_matrix;
           Alcotest.test_case "tables" `Quick test_table_renderers;
           Alcotest.test_case "figure 6" `Quick test_fig6_contains_markings;
+        ] );
+      ( "documents",
+        [
+          Alcotest.test_case "every writer validates as its kind" `Quick
+            test_writers_validate;
         ] );
     ]

@@ -164,6 +164,16 @@ let test_json_roundtrip () =
     | Error e -> Alcotest.failf "pretty reparse failed: %s" e
     | Ok doc'' -> check_bool "pretty round-trip too" true (doc = doc''))
 
+(* [doc] with [f] applied to its field [k]; [bump k d] adds [d] to it. *)
+let field k f = function
+  | Obs.Json.Obj fields ->
+    Obs.Json.Obj
+      (List.map (fun (k', v) -> (k', if k' = k then f v else v)) fields)
+  | j -> j
+
+let bump k d =
+  field k (function Obs.Json.Int n -> Obs.Json.Int (n + d) | j -> j)
+
 let test_metrics_document () =
   let app = Suite.load_app Darsie_workloads.Matmul.workload in
   let r = Suite.run_app ~sample_interval:512 app Suite.Darsie in
@@ -191,23 +201,23 @@ let test_metrics_document () =
     | _ -> Alcotest.fail "document is not an object"
   in
   check_bool "tampered cycles fail validation" true
-    (match Metrics.validate tampered with Error _ -> true | Ok () -> false)
-
-(* When DARSIE_METRICS_FILE points at an exported file (make
-   profile-smoke does this), validate it; otherwise skip. *)
-let test_metrics_file () =
-  match Sys.getenv_opt "DARSIE_METRICS_FILE" with
-  | None | Some "" -> Alcotest.skip ()
-  | Some path ->
-    let ic = open_in_bin path in
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    (match Metrics.validate_string s with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "%s: %s" path e)
+    (match Metrics.validate tampered with Error _ -> true | Ok () -> false);
+  (* One unit moved between two columns keeps every sum, so only the
+     column-wise identities catch it: the total must stay the
+     bucket-wise sum of per_sm, the ledger totals the fate-wise sum of
+     its rows. *)
+  let moved section obj ~from ~into =
+    field section (field obj (fun o -> bump from (-1) (bump into 1 o))) doc
+  in
+  check_bool "total no longer the bucket-wise sum of per_sm" true
+    (Result.is_error
+       (Metrics.validate
+          (moved "stall_attribution" "total" ~from:"active" ~into:"idle")));
+  check_bool "ledger totals no longer the fate-wise sum of rows" true
+    (Result.is_error
+       (Metrics.validate
+          (moved "skip_ledger" "totals" ~from:"leader_executed"
+             ~into:"evicted_capacity")))
 
 let test_chrome_trace () =
   let app = Suite.load_app Darsie_workloads.Matmul.workload in
@@ -257,7 +267,6 @@ let () =
         [
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "metrics document" `Quick test_metrics_document;
-          Alcotest.test_case "exported file" `Quick test_metrics_file;
           Alcotest.test_case "chrome trace" `Quick test_chrome_trace;
         ] );
     ]

@@ -223,6 +223,25 @@ let test_metrics_per_pc () =
   in
   check_bool "tampered per_pc rejected" true
     (Result.is_error (Metrics.validate tampered));
+  (* One cycle moved between two buckets of one instruction keeps the
+     grand total; only the bucket-wise identity against
+     stall_attribution.total catches it. *)
+  let field k f = function
+    | J.Obj fs ->
+      J.Obj (List.map (fun (k', v) -> (k', if k' = k then f v else v)) fs)
+    | j -> j
+  in
+  let bump k d = field k (function J.Int n -> J.Int (n + d) | j -> j) in
+  let move_one_cycle s = bump "active" (-1) (bump "idle" 1 s) in
+  let shifted =
+    field "per_pc"
+      (field "rows" (function
+        | J.List (r :: rs) -> J.List (field "stall" move_one_cycle r :: rs)
+        | j -> j))
+      doc
+  in
+  check_bool "per-PC charges no longer the bucket-wise total" true
+    (Result.is_error (Metrics.validate shifted));
   (* An unprofiled run exports per_pc = null and still validates. *)
   let plain = Suite.run_app (Lazy.force mm) Suite.Darsie in
   let plain_doc = Metrics.of_run ~app:"MM" plain in

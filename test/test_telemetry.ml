@@ -151,7 +151,7 @@ let test_chrome_escaping () =
   | Some _ -> ());
   (* and the summary section itself parses back *)
   check_bool "document validates" true
-    (Metrics.validate_telemetry doc = Ok ())
+    (Metrics.validate doc = Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Validator *)
@@ -165,10 +165,10 @@ let replace obj k v =
 let test_validator () =
   let section = Host_trace.host_telemetry_json (nasty_snapshot ()) in
   check_bool "bare section accepted" true
-    (Metrics.validate_telemetry section = Ok ());
+    (Metrics.validate section = Ok ());
   let rejects label doc =
     check_bool label true
-      (match Metrics.validate_telemetry doc with
+      (match Metrics.validate doc with
       | Error _ -> true
       | Ok () -> false)
   in
