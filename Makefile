@@ -3,9 +3,9 @@
 DUNE ?= dune
 SMOKE_DIR ?= /tmp/darsie-smoke
 
-.PHONY: all build test verify doc cli-docs bench export-smoke check-smoke \
+.PHONY: all build test verify doc cli-docs export-smoke check-smoke \
   fuzz-smoke cache-smoke fastforward-smoke telemetry-smoke shard-smoke \
-  bench-compare clean
+  perfbench-gate clean
 
 all: build
 
@@ -26,9 +26,6 @@ doc:
 # Regenerate docs/cli.md from the binary's --help; CI diffs the result.
 cli-docs: build
 	./tools/update-cli-docs.sh
-
-bench:
-	$(DUNE) exec bench/main.exe
 
 # Export smoke: every metrics-document writer — profile (plus a Chrome
 # trace and CSV series), annotate on two machines (per-PC charges),
@@ -183,23 +180,25 @@ shard-smoke: build
 	    || { echo "$$f differs between 1 and 2 domains"; exit 1; }; \
 	done
 
-# Record a fresh bench trajectory point into bench/history/ and gate it
-# against the committed baseline. Deterministic simulated metrics use a
-# 0.5% threshold; wall-clock metrics 25%. Exits nonzero on regression.
-# The shard baseline (recorded after the sharded cycle loop landed;
-# default-config simulated metrics bit-identical to the fidelity
-# record); earlier records are kept with identical simulated metrics:
-# bench/BENCH_2026-08-06.json (serial seed),
-# bench/BENCH_2026-08-06_parallel.json (parallel+cache),
-# bench/BENCH_2026-08-06_fastforward.json (event-driven cycle loop),
-# bench/BENCH_2026-08-09_telemetry.json (host telemetry) and
-# bench/BENCH_2026-08-09_fidelity.json (machine-fidelity knobs).
-BENCH_BASELINE ?= bench/BENCH_2026-08-09_shard.json
-bench-compare: build
-	mkdir -p bench/history
-	$(DUNE) exec bench/main.exe -- --trend bench/history/current.json
-	$(DUNE) exec bin/darsie.exe -- bench-compare \
-	  $(BENCH_BASELINE) bench/history/current.json
+# Benchmark exact-output gate: perfbench's matrix and large workloads
+# each run one timed pass and must reproduce every digest in
+# perfbench/expected/ — cycles, Stats, stall attribution and skip
+# ledger of all 91 matrix cells and of both large simulations. run.py
+# exits 0 on a digest mismatch and reports it only as "correct": false
+# on its last line, so the jq check is the gate. fuzz stays out: its
+# expectation records the campaign's known oracle failures, and
+# fuzz-smoke covers the fuzz path.
+perfbench-gate:
+	mkdir -p $(SMOKE_DIR)
+	for w in matrix large; do \
+	  python3 perfbench/run.py --workload $$w --seconds 0 \
+	    > $(SMOKE_DIR)/perfbench-$$w.txt \
+	    && tail -n 1 $(SMOKE_DIR)/perfbench-$$w.txt \
+	      | jq -e '.correct and .failed == 0' > /dev/null \
+	    || { cat $(SMOKE_DIR)/perfbench-$$w.txt; \
+	      echo "perfbench $$w failed or differs from perfbench/expected/"; \
+	      exit 1; }; \
+	done
 
 clean:
 	$(DUNE) clean

@@ -14,8 +14,6 @@
                                  not) eliminated: the skip ledger's
                                  dynamic fates joined with the
                                  compiler's static story
-     bench-compare BASE CUR    - diff two bench trajectory records,
-                                 exit nonzero on statistical regression
      telemetry-summary FILE    - render a --telemetry document: host
                                  phases ranked by self wall, per-domain
                                  utilization, counter totals
@@ -550,8 +548,10 @@ let experiment_cmd =
       let _, text = F.fig10 (Lazy.force matrix) in
       print_string text
     | "fig11" ->
-      let _, _, _, text = F.fig11 (Lazy.force matrix) in
-      print_string text
+      let m = Lazy.force matrix in
+      let _, _, _, text = F.fig11 m in
+      let _, overhead = F.darsie_overhead m in
+      print_string (text ^ overhead)
     | "fig12" ->
       let _, _, text = F.fig12 (Lazy.force matrix) in
       print_string text
@@ -576,7 +576,10 @@ let experiment_cmd =
       in
       print_string
         (Darsie_harness.Ablations.render_schedulers
-           (Darsie_harness.Ablations.scheduler_comparison apps))
+           (Darsie_harness.Ablations.scheduler_comparison apps));
+      print_string
+        (Darsie_harness.Ablations.render_efficiency
+           (Darsie_harness.Ablations.mechanism_efficiency apps))
     | "sensitivity" ->
       let module Sens = Darsie_harness.Sensitivity in
       let jobs = effective_jobs jobs in
@@ -818,64 +821,6 @@ let explain_cmd =
       $ cache_arg $ no_ff_arg $ knobs_term $ telemetry_arg $ progress_arg
       $ progress_json_arg)
 
-let bench_compare_cmd =
-  let module T = Darsie_harness.Trendline in
-  let run baseline current det_tol wall_tol warn_only =
-    let load path =
-      match T.read_file path with
-      | Ok r -> r
-      | Error e -> or_die (Error (Printf.sprintf "%s: %s" path e))
-    in
-    let b = load baseline in
-    let c = load current in
-    Printf.printf "baseline: %s (%s, %s)\ncurrent:  %s (%s, %s)\n\n" baseline
-      b.T.date b.T.label current c.T.date c.T.label;
-    let verdicts =
-      T.compare_records ~det_threshold:det_tol ~wall_threshold:wall_tol
-        ~baseline:b ~current:c ()
-    in
-    print_string (T.render_verdicts verdicts);
-    match T.regressions verdicts with
-    | [] -> print_endline "\nbench-compare: no regressions."
-    | rs ->
-      Printf.printf "\nbench-compare: %d metric(s) regressed.\n"
-        (List.length rs);
-      if not warn_only then exit 1
-  in
-  let baseline_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"BASELINE"
-          ~doc:"Baseline bench record (JSON written by bench --trend).")
-  in
-  let current_arg =
-    Arg.(
-      required & pos 1 (some string) None
-      & info [] ~docv:"CURRENT" ~doc:"Bench record to judge.")
-  in
-  let det_arg =
-    let doc = "Relative threshold for deterministic metrics (cycles, IPC, \
-               speedup geomeans)." in
-    Arg.(value & opt float T.det_threshold
-         & info [ "det-threshold" ] ~docv:"FRAC" ~doc)
-  in
-  let wall_arg =
-    let doc = "Relative threshold for wall-clock metrics." in
-    Arg.(value & opt float T.wall_threshold
-         & info [ "wall-threshold" ] ~docv:"FRAC" ~doc)
-  in
-  let warn_arg =
-    let doc = "Report regressions but exit zero (CI smoke mode)." in
-    Arg.(value & flag & info [ "warn-only" ] ~doc)
-  in
-  Cmd.v
-    (Cmd.info "bench-compare"
-       ~doc:
-         "Diff two bench trajectory records with min-of-N + \
-          relative-threshold gating; exits nonzero on regression")
-    Term.(const run $ baseline_arg $ current_arg $ det_arg $ wall_arg
-          $ warn_arg)
-
 (* Read and parse a JSON file; the error is one line naming the file. *)
 let read_json file =
   match In_channel.with_open_bin file In_channel.input_all with
@@ -936,13 +881,13 @@ let validate_cmd =
   in
   let files_arg =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE"
-           ~doc:"JSON document written by darsie or bench.")
+           ~doc:"JSON document written by darsie.")
   in
   Cmd.v
     (Cmd.info "validate"
        ~doc:
          "Detect each file's document kind (metrics, check report, fuzz \
-          campaign, sensitivity sweep, host telemetry, bench record) and \
+          campaign, sensitivity sweep, host telemetry) and \
           re-prove its identities; exits 2 if one does not hold, else 1 if \
           a file is unreadable, not JSON or of no known kind")
     Term.(const run $ files_arg)
@@ -1061,7 +1006,7 @@ let main =
   Cmd.group (Cmd.info "darsie" ~version:"1.0.0" ~doc)
     [ list_cmd; asm_cmd; analyze_cmd; run_cmd; profile_cmd; annotate_cmd;
       explain_cmd; limit_cmd; experiment_cmd; check_cmd; fuzz_cmd;
-      bench_compare_cmd; telemetry_summary_cmd; validate_cmd; area_cmd ]
+      telemetry_summary_cmd; validate_cmd; area_cmd ]
 
 (* Typed simulation errors escaping any subcommand (e.g. a deadlock during
    [darsie run]) exit with their distinct code and a one-line summary. *)

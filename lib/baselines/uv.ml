@@ -37,7 +37,6 @@ let factory : Engine.factory =
   {
     Engine.name = "UV";
     cycle_skip = (fun ~cycle:_ -> ());
-    quiescent = (fun () -> true);
     skip_reads_warp_state = false;
     skip_steady = (fun () -> true);
     bulk_skip = (fun ~cycle:_ ~n:_ -> ());

@@ -350,22 +350,9 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
     in
     go 0
   in
-  (* The stat counters the skip phase can move. They are all monotone,
-     so a frozen sum ([last_skip_quiet]) means every one was frozen.
-     [bulk_skip] snapshots and scales each component individually when a
-     steady span is jumped. *)
-  let stat_mark () =
-    stats.Stats.darsie_sync_stalls + stats.Stats.skipped_prefetch
-    + stats.Stats.rename_accesses + stats.Stats.coalescer_probes
-    + stats.Stats.skip_table_probes + stats.Stats.majority_updates
-    + stats.Stats.elim_uniform + stats.Stats.elim_affine
-    + stats.Stats.elim_unstructured
-  in
-  let last_skip_quiet = ref false in
   let last_skip_steady = ref false in
   let cycle_skip ~cycle =
     Skip_table.Telemetry.set_now telemetry cycle;
-    let mark0 = stat_mark () in
     state_mutated := false;
     Hashtbl.reset probed;
     Hashtbl.iter
@@ -382,7 +369,6 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
           slot.syncs;
         Array.iter (process_warp slot) slot.warps)
       slots;
-    last_skip_quiet := stat_mark () = mark0;
     last_skip_steady := not !state_mutated
   in
   (* Charge [n] skipped skip-phase executions in one call. Sound only
@@ -580,7 +566,6 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
   {
     Engine.name = name_of options;
     cycle_skip;
-    quiescent = (fun () -> !last_skip_quiet);
     skip_reads_warp_state = true;
     skip_steady = (fun () -> !last_skip_steady);
     bulk_skip;

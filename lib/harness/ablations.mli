@@ -49,8 +49,8 @@ val render_efficiency : (string * float * float * float) list -> string
 
 val run_default :
   unit -> sweep list
-(** The sweeps reported by the bench harness: skip entries, ports, rename
-    registers and chain length on MM (capacity-sensitive) and CONVTEX
-    (throughput-sensitive). *)
+(** The sweeps [darsie experiment ablations] reports: skip entries,
+    ports, rename registers and chain length on MM (capacity-sensitive)
+    and CONVTEX (throughput-sensitive). *)
 
 val render : sweep -> string

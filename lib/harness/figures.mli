@@ -1,5 +1,5 @@
 (** One entry point per paper figure/table. Each returns structured rows
-    (for tests) and a rendered text block (for the bench harness and CLI).
+    (for tests) and a rendered text block (for [darsie experiment]).
     The experiment-to-module map lives in DESIGN.md §4; paper-vs-measured
     numbers are recorded in EXPERIMENTS.md. *)
 

@@ -373,9 +373,6 @@ let checks =
     ("fuzz_campaign", check_fuzz);
     ("sensitivity_sweep", check_sensitivity);
     ("host_telemetry", check_telemetry);
-    ( "bench_record",
-      fun doc ->
-        match Trendline.of_json doc with Ok _ -> () | Error e -> fail "%s" e );
   ]
 
 let kinds = List.map fst checks

@@ -38,8 +38,8 @@ val telemetry_schema_version : int
 
 val kinds : string list
 (** Every document kind {!validate} knows: ["metrics"],
-    ["check_report"], ["fuzz_campaign"], ["sensitivity_sweep"],
-    ["host_telemetry"] and ["bench_record"]. *)
+    ["check_report"], ["fuzz_campaign"], ["sensitivity_sweep"] and
+    ["host_telemetry"]. *)
 
 val kind_of : Darsie_obs.Json.t -> (string, string) result
 (** The kind of a document: its ["kind"] tag when it has one (an
@@ -57,8 +57,7 @@ val validate : Darsie_obs.Json.t -> (unit, string) result
     skip ledger ([totals] equal to the fate-wise sum of [rows]). The
     other kinds re-prove their bookkeeping: check-report pass flags,
     fuzz-campaign counts, sensitivity speedups and geomeans, and the
-    telemetry span clock ([Σ phase self_ns = Σ domain busy_ns]). A
-    bench record is checked by decoding it with {!Trendline.of_json}. *)
+    telemetry span clock ([Σ phase self_ns = Σ domain busy_ns]). *)
 
 val validate_string : string -> (unit, string) result
 (** Parse then {!validate}. *)

@@ -119,10 +119,9 @@ val build_matrix :
     generations and the matrix cells out over that many domains
     (default 1 — serial; pass [Parallel.default_jobs ()] for all
     cores). The merged matrix is identical for every job count: results
-    are committed in input order, so figures, metrics documents and
-    trendline records derived from it are byte-for-byte independent of
-    the schedule. [cache] makes {!load_app} reuse persisted functional
-    traces.
+    are committed in input order, so figures and metrics documents
+    derived from it are byte-for-byte independent of the schedule.
+    [cache] makes {!load_app} reuse persisted functional traces.
 
     @raise Darsie_check.Sim_error.Simulation_error on the first failing
     cell (in deterministic app-then-machine order; with [jobs > 1] the

@@ -13,7 +13,7 @@
 
     The derived {e redundancy coverage} — captured (skipped or parked
     behind a leader's writeback) over eligible — is the headline number
-    [darsie explain] and the trendline track. *)
+    [darsie explain] and [darsie experiment coverage] track. *)
 
 (** Where one eligible dynamic occurrence ended up. The taxonomy is a
     partition: every occurrence gets exactly one fate. *)

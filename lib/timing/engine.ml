@@ -37,17 +37,15 @@ type issue_decision = Execute | Drop
 type t = {
   name : string;
   cycle_skip : cycle:int -> unit;
-  quiescent : unit -> bool;
   (* True when [cycle_skip] inspects warp state (trace cursors, parked
      sets). The SM's fetch phase runs after [cycle_skip], so for such
-     engines a fetch invalidates the [quiescent] snapshot and the SM
+     engines a fetch invalidates the [skip_steady] snapshot and the SM
      must step one more cycle before fast-forwarding. *)
   skip_reads_warp_state : bool;
   (* True when the most recent [cycle_skip] mutated no engine or warp
      state — it only accumulated per-cycle statistics. Such a skip phase
      repeats identically while the SM is frozen, which licenses
-     fast-forwarding even when it is not quiescent: [bulk_skip] charges
-     the skipped span. *)
+     fast-forwarding: [bulk_skip] charges the skipped span. *)
   skip_steady : unit -> bool;
   (* Charge [n] skipped skip-phase executions at [cycle] in one call;
      only invoked when [skip_steady ()] held. Engines with per-cycle
@@ -79,7 +77,6 @@ let base () =
   {
     name = "BASE";
     cycle_skip = (fun ~cycle:_ -> ());
-    quiescent = (fun () -> true);
     skip_reads_warp_state = false;
     skip_steady = (fun () -> true);
     bulk_skip = (fun ~cycle:_ ~n:_ -> ());

@@ -75,29 +75,20 @@ type t = {
   name : string;
   cycle_skip : cycle:int -> unit;
       (** called once per SM cycle, before fetch *)
-  quiescent : unit -> bool;
-      (** true when the most recent [cycle_skip] was a no-op (no stat
-          deltas, no warp state changes) {e and} would stay one while the
-          rest of the SM is frozen — the license the fast-forward path
-          needs to skip calling [cycle_skip] for a jumped-over span.
-          Engines whose skip phase does per-cycle work while warps are
-          stalled (DARSIE probe/park accounting) must return [false] on
-          such cycles; stateless engines always return [true] *)
   skip_reads_warp_state : bool;
       (** true when [cycle_skip] inspects warp state (trace cursors,
           parked sets). The fetch phase runs after [cycle_skip], so for
-          such engines a fetch this cycle invalidates the [quiescent]
-          and [skip_steady] snapshots: the SM steps one more cycle
-          before fast-forwarding. Stateless skip phases leave this
-          [false] *)
+          such engines a fetch this cycle invalidates the [skip_steady]
+          snapshot: the SM steps one more cycle before fast-forwarding.
+          Stateless skip phases leave this [false] *)
   skip_steady : unit -> bool;
       (** true when the most recent [cycle_skip] mutated no engine or
           warp state — at most it accumulated per-cycle statistics
           (DARSIE's probe, park and sync-stall counters). A steady skip
           phase is a deterministic function of frozen state, so it
-          repeats identically across a jumped span; this — not
-          [quiescent] — is the license the fast-forward path gates on.
-          Stateless engines return [true] *)
+          repeats identically across a jumped span; this is the license
+          the fast-forward path gates on. Stateless engines return
+          [true] *)
   bulk_skip : cycle:int -> n:int -> unit;
       (** charge [n] skipped executions of the skip phase ending at
           [cycle] in one call; invoked by {!Sm.fast_forward} only when
@@ -108,7 +99,7 @@ type t = {
       (** the SM clock jumped: the span up to and including [cycle]
           was skipped without calling [cycle_skip]. Engines tracking the
           current cycle (DARSIE's skip-table telemetry clock) resync
-          here; called only when [quiescent ()] held *)
+          here; called only when [skip_steady ()] held *)
   can_fetch : wctx -> bool;
   recheck_fetch : wctx -> bool;
       (** re-evaluate the fetch gate for [w] at its {e current} cursor.

@@ -47,7 +47,7 @@ type t = {
   mutable fetch_ptr : int;
   (* True when this cycle's fetch phase advanced any warp (fi, ibuf or
      fetch_ready_at changed). Fetch runs after the engine's cycle_skip,
-     so its quiescence snapshot is stale whenever this is set. *)
+     so its [skip_steady] snapshot is stale whenever this is set. *)
   mutable fetch_mutated : bool;
   greedy : int array;  (* per scheduler: preferred wid, or -1 *)
   mutable cycle : int;
@@ -1180,9 +1180,9 @@ let step t =
    deliberately conservative: any doubt returns [cycle + 1], which just
    disables jumping for a cycle. Sources:
 
-   - the engine's skip phase was not a no-op last cycle (it must keep
+   - the engine's skip phase was not steady last cycle (it must keep
      running every cycle), or this cycle's fetch advanced a warp after
-     the skip phase ran and made its quiescence snapshot stale;
+     the skip phase ran and made its [skip_steady] snapshot stale;
    - the earliest pending writeback ([next_wb]);
    - barrier machinery: a pending release fires at [barrier_release_at];
      a fully-arrived barrier whose timer is not armed yet arms it next
@@ -1197,11 +1197,11 @@ let next_event_cycle t =
   (* Jumping needs the engine's last skip phase to have been steady —
      a pure per-cycle accumulation over frozen state, which repeats
      identically across the span and is charged by [Engine.bulk_skip].
-     (Quiescence is not enough: a skip phase can mutate state, e.g.
-     release a branch sync, without moving any stat counter.) The flag
-     reflects a phase that ran before this cycle's fetch; when the skip
-     phase inspects warp state, a fetch mutates state it has not seen,
-     so a fetch forces one more normal step. *)
+     (Frozen stat counters are not enough: a skip phase can mutate
+     state, e.g. release a branch sync, without moving any stat
+     counter.) The flag reflects a phase that ran before this cycle's
+     fetch; when the skip phase inspects warp state, a fetch mutates
+     state it has not seen, so a fetch forces one more normal step. *)
   if
     (not (t.engine.Engine.skip_steady ()))
     || (t.fetch_mutated && t.engine.Engine.skip_reads_warp_state)

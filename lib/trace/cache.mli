@@ -5,8 +5,7 @@
     input) triple depends only on the functional emulation, never on
     which timing machine replays it. So the emulator needs to run {e
     once} per workload — the same trace replays through BASE, DARSIE and
-    every ablation, across [bench --trend] repeats, and across CLI
-    invocations.
+    every ablation, and across CLI invocations.
 
     A cache entry is keyed by a digest of everything the emulation can
     observe: the kernel's full disassembly, the grid and block

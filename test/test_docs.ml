@@ -115,8 +115,6 @@ let test_versions_quoted () =
     (contains (quoted "Metrics.check_schema_version" Metrics.check_schema_version));
   Alcotest.(check bool) "fuzz version quoted" true
     (contains (quoted "Metrics.fuzz_schema_version" Metrics.fuzz_schema_version));
-  Alcotest.(check bool) "trendline version quoted" true
-    (contains (quoted "Trendline.schema_version" Trendline.schema_version));
   Alcotest.(check bool) "sensitivity version quoted" true
     (contains
        (quoted "Metrics.sensitivity_schema_version"

@@ -1,6 +1,6 @@
 (* Tests for the experiment harness: aggregation helpers, rendering, the
    suite matrix, and the figure projections on a reduced app set (full
-   runs live in bench/main.exe). *)
+   runs live in darsie experiment). *)
 
 open Darsie_harness
 
@@ -153,10 +153,6 @@ let test_writers_validate () =
       ( "host_telemetry",
         Darsie_telemetry.Host_trace.document
           (Darsie_telemetry.Telemetry.snapshot ()) );
-      ( "bench_record",
-        Trendline.to_json
-          (Trendline.of_matrix ~date:"2026-01-01" ~label:"test" ~wall_s:1.0
-             ~repeats:1 m) );
     ]
   in
   List.iter

@@ -239,8 +239,8 @@ let test_fault_lost_updates () =
 (* Misclassification fault: every really-executed eligible occurrence
    reports Skipped. Conservation still balances — the counts are wrong,
    not missing — so the detection signal is the diff against a clean
-   run, which is exactly what the fast-forward differential and the
-   bench trendline consume. *)
+   run, which is exactly what the fast-forward differential and
+   perfbench's per-cell digests consume. *)
 let misreport_factory ki cfg stats =
   let e = darsie_factory ki cfg stats in
   { e with Engine.exec_fate = (fun _ _ -> L.Skipped) }

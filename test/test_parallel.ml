@@ -1,7 +1,7 @@
 (* Tests for the parallel suite runner and the functional-trace cache:
    the Parallel pool's ordering/isolation contract, schedule-independence
-   of the merged matrix (the -j 1 vs -j 4 byte-identity the CLI and bench
-   rely on), and trace-cache hits producing identical figures. *)
+   of the merged matrix (the -j 1 vs -j 4 byte-identity the CLI relies
+   on), and trace-cache hits producing identical figures. *)
 
 open Darsie_harness
 module W = Darsie_workloads.Workload
@@ -59,14 +59,14 @@ let test_pool_isolation () =
 let small_apps =
   [ Darsie_workloads.Bin_opt.workload; Darsie_workloads.Matmul.workload ]
 
-(* the machines Figures.fig8 (and so Trendline.of_matrix) reads *)
+(* the machines Figures.fig8 and Figures.coverage read *)
 let small_machines =
   [ Suite.Base; Suite.Uv; Suite.Dac_ideal; Suite.Darsie;
     Suite.Darsie_ignore_store ]
 
 (* Everything the suite exports, as one canonical byte string: the
-   per-cell metrics documents in deterministic order plus a trendline
-   record with the nondeterministic wall fields pinned. *)
+   per-cell metrics documents in deterministic order plus the rendered
+   Fig. 8 geomeans and per-app redundancy coverage. *)
 let matrix_fingerprint m =
   let cells =
     List.concat_map
@@ -79,11 +79,9 @@ let matrix_fingerprint m =
           small_machines)
       m.Suite.apps
   in
-  let record =
-    Trendline.of_matrix ~date:"2026-01-01" ~label:"test" ~wall_s:1.0 ~repeats:1
-      m
-  in
-  String.concat "\n" cells ^ "\n" ^ J.to_string (Trendline.to_json record)
+  let _, _, _, fig8 = Figures.fig8 m in
+  let _, _, coverage = Figures.coverage m in
+  String.concat "\n" cells ^ "\n" ^ fig8 ^ coverage
 
 let test_matrix_determinism () =
   let build jobs =
@@ -91,7 +89,7 @@ let test_matrix_determinism () =
   in
   let serial = matrix_fingerprint (build 1) in
   let parallel = matrix_fingerprint (build 4) in
-  check_string "metrics + trendline JSON byte-identical at -j 1 and -j 4"
+  check_string "metrics JSON + figures byte-identical at -j 1 and -j 4"
     serial parallel
 
 let test_checker_determinism () =

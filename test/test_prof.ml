@@ -1,9 +1,7 @@
-(* Tests for the per-instruction profiler and the bench trajectory
-   store: Pcstat bookkeeping, the cross-layer conservation invariant on
-   real Table-1 apps (per-PC stall charges reproduce the per-SM
-   attribution), skip-table telemetry agreement with the pipeline
-   counters, the annotate renderer, and the Trendline round-trip plus
-   its regression gate. *)
+(* Tests for the per-instruction profiler: Pcstat bookkeeping, the
+   cross-layer conservation invariant on real Table-1 apps (per-PC stall
+   charges reproduce the per-SM attribution), skip-table telemetry
+   agreement with the pipeline counters, and the annotate renderer. *)
 
 open Darsie_harness
 module Obs = Darsie_obs
@@ -13,8 +11,6 @@ module Stats = Darsie_timing.Stats
 let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
-
-let check_string = Alcotest.(check string)
 
 (* ------------------------------------------------------------------ *)
 (* Pcstat unit behaviour                                               *)
@@ -249,130 +245,6 @@ let test_metrics_per_pc () =
     (J.member "per_pc" plain_doc = Some J.Null);
   check_bool "plain doc validates" true (Result.is_ok (Metrics.validate plain_doc))
 
-(* ------------------------------------------------------------------ *)
-(* Trendline store                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let sample_record () =
-  {
-    Trendline.date = "2026-08-06";
-    label = "test";
-    wall_s = 4.5;
-    repeats = 3;
-    cycles_per_sec = 20000.0;
-    gmeans = [ ("speedup_2d_darsie", 1.30); ("speedup_2d_dac", 1.11) ];
-    per_app_ipc = [ ("MM", 3.1); ("LIB", 1.7) ];
-    per_app_cycles = [ ("MM", 7000); ("LIB", 8600) ];
-    per_app_coverage = [ ("MM", 0.92); ("LIB", 0.88) ];
-    host_phases = [ ("sim.run", 3.8); ("trace.load", 0.4) ];
-    cache_hit_rate = Some 0.5;
-  }
-
-let test_trendline_roundtrip () =
-  let r = sample_record () in
-  match Trendline.of_json (Trendline.to_json r) with
-  | Ok r' ->
-    check_bool "round-trips exactly" true (r = r');
-    let path = Filename.temp_file "darsie_trend" ".json" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Trendline.write_file path r;
-        match Trendline.read_file path with
-        | Ok r'' -> check_bool "file round-trips" true (r = r'')
-        | Error e -> Alcotest.failf "read_file: %s" e)
-  | Error e -> Alcotest.failf "of_json: %s" e
-
-let test_trendline_rejects_bad_schema () =
-  let module J = Obs.Json in
-  let doc =
-    match Trendline.to_json (sample_record ()) with
-    | J.Obj fields ->
-      J.Obj
-        (List.map
-           (function
-             | "schema_version", _ -> ("schema_version", J.Int 999)
-             | kv -> kv)
-           fields)
-    | _ -> Alcotest.fail "record json is not an object"
-  in
-  check_bool "future schema rejected" true
-    (Result.is_error (Trendline.of_json doc))
-
-let test_measure_min_of_n () =
-  (* Fake clock: each call advances by a scripted delta, so run k takes
-     exactly deltas.(k) seconds and min-of-N must pick the smallest. *)
-  let now = ref 0.0 in
-  let deltas = [| 5.0; 2.0; 9.0 |] in
-  let calls = ref 0 in
-  let clock () = !now in
-  let f () =
-    now := !now +. deltas.(!calls mod 3);
-    incr calls;
-    !calls
-  in
-  let result, best = Trendline.measure ~clock ~repeats:3 f in
-  check_int "ran three times" 3 result;
-  Alcotest.(check (float 1e-9)) "kept the minimum" 2.0 best;
-  Alcotest.check_raises "repeats < 1 rejected"
-    (Invalid_argument "Trendline.measure: repeats < 1") (fun () ->
-      ignore (Trendline.measure ~repeats:0 (fun () -> ())))
-
-let test_regression_gate () =
-  let base = sample_record () in
-  let self = Trendline.compare_records ~baseline:base ~current:base () in
-  check_bool "self-compare is clean" true (Trendline.regressions self = []);
-  (* Inject a synthetic regression: MM got 5% slower (more cycles) and
-     the 2D geomean dropped 5%. Both are far beyond the 0.5% gate. *)
-  let worse =
-    {
-      base with
-      Trendline.per_app_cycles = [ ("MM", 7350); ("LIB", 8600) ];
-      gmeans = [ ("speedup_2d_darsie", 1.235); ("speedup_2d_dac", 1.11) ];
-    }
-  in
-  let verdicts = Trendline.compare_records ~baseline:base ~current:worse () in
-  let bad = Trendline.regressions verdicts in
-  let names = List.map (fun (v : Trendline.verdict) -> v.Trendline.metric) bad in
-  check_bool "cycles regression detected" true
-    (List.mem "cycles.MM" names);
-  check_bool "geomean regression detected" true
-    (List.mem "gmean.speedup_2d_darsie" names);
-  check_int "nothing else flagged" 2 (List.length bad);
-  (* Wall-time wobble below its loose threshold must NOT flag. *)
-  let wobbly = { base with Trendline.wall_s = base.Trendline.wall_s *. 1.2 } in
-  check_bool "20% wall noise tolerated" true
-    (Trendline.regressions
-       (Trendline.compare_records ~baseline:base ~current:wobbly ())
-    = []);
-  (* An improvement must never flag. *)
-  let better =
-    { base with Trendline.per_app_cycles = [ ("MM", 6000); ("LIB", 8000) ] }
-  in
-  check_bool "improvements pass" true
-    (Trendline.regressions
-       (Trendline.compare_records ~baseline:base ~current:better ())
-    = [])
-
-let test_render_verdicts () =
-  let base = sample_record () in
-  let worse =
-    { base with Trendline.per_app_cycles = [ ("MM", 8000); ("LIB", 8600) ] }
-  in
-  let text =
-    Trendline.render_verdicts
-      (Trendline.compare_records ~baseline:base ~current:worse ())
-  in
-  let contains needle =
-    let nl = String.length needle and hl = String.length text in
-    let rec go i = i + nl <= hl && (String.sub text i nl = needle || go (i + 1)) in
-    go 0
-  in
-  check_bool "mentions the metric" true (contains "cycles.MM");
-  check_bool "flags the regression" true (contains "REGRESSED");
-  check_string "first line is the header" "metric"
-    (String.sub text 0 6)
-
 let () =
   Alcotest.run "darsie_prof"
     [
@@ -405,15 +277,5 @@ let () =
         [
           Alcotest.test_case "per_pc section validates and is gated" `Slow
             test_metrics_per_pc;
-        ] );
-      ( "trendline",
-        [
-          Alcotest.test_case "json round-trip" `Quick test_trendline_roundtrip;
-          Alcotest.test_case "schema gate" `Quick
-            test_trendline_rejects_bad_schema;
-          Alcotest.test_case "min-of-N measurement" `Quick
-            test_measure_min_of_n;
-          Alcotest.test_case "regression gate" `Quick test_regression_gate;
-          Alcotest.test_case "verdict rendering" `Quick test_render_verdicts;
         ] );
     ]

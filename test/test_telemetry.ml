@@ -1,8 +1,7 @@
 (* Tests for the host-telemetry layer: the integer self-time invariant,
    schedule-independence of the normalized span forms and counter
    totals, Chrome-trace string escaping round-trips, host_telemetry
-   document validation, the trendline's telemetry fields, and the
-   progress/straggler channel. *)
+   document validation, and the progress/straggler channel. *)
 
 open Darsie_harness
 module Tel = Darsie_telemetry.Telemetry
@@ -192,69 +191,6 @@ let test_validator () =
   | _ -> Alcotest.fail "section lacks phases")
 
 (* ------------------------------------------------------------------ *)
-(* Trendline telemetry fields *)
-
-let test_trendline_fields () =
-  let m =
-    Suite.build_matrix
-      ~apps:[ Darsie_workloads.Bin_opt.workload ]
-      ~machines:
-        [ Suite.Base; Suite.Uv; Suite.Dac_ideal; Suite.Darsie;
-          Suite.Darsie_ignore_store ]
-      ~jobs:1 ()
-  in
-  let r =
-    Trendline.of_matrix
-      ~host_phases:[ ("sim.run", 1.5); ("trace.load", 0.25) ]
-      ~cache_hit_rate:0.25 ~date:"2026-01-01" ~label:"test" ~wall_s:1.0
-      ~repeats:1 m
-  in
-  (match Trendline.of_json (Trendline.to_json r) with
-  | Error e -> Alcotest.fail e
-  | Ok r' ->
-    check_bool "host_phases round-trip" true
-      (r'.Trendline.host_phases = r.Trendline.host_phases);
-    check_bool "cache_hit_rate round-trip" true
-      (r'.Trendline.cache_hit_rate = Some 0.25));
-  (* a baseline written before host telemetry still loads *)
-  let stripped =
-    match Trendline.to_json r with
-    | J.Obj fields ->
-      J.Obj
-        (List.filter
-           (fun (k, _) -> k <> "host_phases" && k <> "cache_hit_rate")
-           fields)
-    | other -> other
-  in
-  (match Trendline.of_json stripped with
-  | Error e -> Alcotest.fail ("old baseline rejected: " ^ e)
-  | Ok r' ->
-    check_bool "missing host_phases reads as []" true
-      (r'.Trendline.host_phases = []);
-    check_bool "missing cache_hit_rate reads as None" true
-      (r'.Trendline.cache_hit_rate = None));
-  (* both records carrying the fields -> the gate compares them *)
-  let verdicts =
-    Trendline.compare_records ~baseline:r ~current:r ()
-  in
-  check_bool "cache_hit_rate gated" true
-    (List.exists (fun v -> v.Trendline.metric = "cache_hit_rate") verdicts);
-  check_bool "host phases gated" true
-    (List.exists
-       (fun v -> v.Trendline.metric = "host_phase.sim.run")
-       verdicts);
-  (* ...and not against a pre-telemetry baseline *)
-  (match Trendline.of_json stripped with
-  | Ok old ->
-    let verdicts = Trendline.compare_records ~baseline:old ~current:r () in
-    check_bool "cache_hit_rate skipped vs old baseline" true
-      (not
-         (List.exists
-            (fun v -> v.Trendline.metric = "cache_hit_rate")
-            verdicts))
-  | Error _ -> ())
-
-(* ------------------------------------------------------------------ *)
 (* Progress channel *)
 
 let test_progress_and_straggler () =
@@ -318,9 +254,6 @@ let () =
       );
       ( "validator",
         [ Alcotest.test_case "accept / reject" `Quick test_validator ] );
-      ( "trendline",
-        [ Alcotest.test_case "telemetry fields" `Quick test_trendline_fields ]
-      );
       ( "progress",
         [
           Alcotest.test_case "heartbeats + straggler" `Quick
