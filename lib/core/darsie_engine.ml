@@ -22,6 +22,8 @@ type slot_state = {
   skip : Skip_table.t;
   majority : Majority.t;
   syncs : (int * int, sync_entry) Hashtbl.t;  (* (branch pc, occ) *)
+  mutable open_syncs : int;  (* entries with arrivals, not yet released *)
+  settled : int array;  (* per warp: cursor of its last no-op visit, or -1 *)
   mutable warps : Engine.wctx array;
   mutable bar_arrived : int;
 }
@@ -67,6 +69,10 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
      reports entry statistics over the SM's whole run. *)
   let telemetry = Skip_table.Telemetry.create () in
   let slots : (int, slot_state) Hashtbl.t = Hashtbl.create 8 in
+  (* The same TBs indexed by SM slot, for the per-warp hooks' lookups;
+     [Gpu.occupancy] caps an SM's TB slots at this size. *)
+  let by_slot = Array.make (max 1 cfg.Config.max_tbs_per_sm) None in
+  let slot_of (w : Engine.wctx) = by_slot.(w.Engine.tb_slot) in
   let full_mask = (1 lsl cfg.Config.warp_size) - 1 in
   (* Steadiness tracking for the fast-forward path: [state_mutated] is
      cleared at the top of every [cycle_skip] and set by any change to
@@ -78,8 +84,8 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
   let mutated () = state_mutated := true in
   (* The fetch gate, park site and freelist-stall counter are per-warp
      fields inlined in the SM's warp context ([Engine.wctx]) — the skip
-     phase touches them for every warp every cycle, so they must not go
-     through a hash table. *)
+     phase touches them for every unsettled warp every cycle, so they
+     must not go through a hash table. *)
   let set_ok (w : Engine.wctx) v =
     if w.Engine.fetch_ok <> v then begin
       mutated ();
@@ -183,10 +189,15 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
             drop_from_majority ~reason:2 slot w)
         slot.warps
     | None -> ());
-    entry.released <- true
+    entry.released <- true;
+    slot.open_syncs <- slot.open_syncs - 1
   in
-  (* Process one warp's pre-fetch window; returns nothing, sets fetch_ok. *)
-  let probed = Hashtbl.create 8 in
+  (* The PCs that used a PC-coalescer port this cycle: PC [i] is in the
+     set when [probe_mark.(i)] is the current generation. The set is not
+     capped at [coalescer_ports], since chained skips add PCs past it. *)
+  let probe_mark = Array.make (Array.length kinfo.Kinfo.tb_redundant) (-1) in
+  let probe_gen = ref 0 and n_probed = ref 0 in
+  let probed idx = probe_mark.(idx) = !probe_gen in
   (* Park telemetry funnels through here so [bulk_skip]'s representative
      run can log which PCs park and replay them over the scaled span. *)
   let record_parks = ref false in
@@ -197,24 +208,33 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
       Hashtbl.replace park_log idx
         (1 + Option.value ~default:0 (Hashtbl.find_opt park_log idx))
   in
+  (* Process one warp's pre-fetch window; returns nothing, sets fetch_ok.
+     A no-op visit (finished, at a barrier, off the majority path, or on
+     it at a full-mask instruction that is neither a branch nor
+     TB-redundant) settles the warp: it stays a no-op until the cursor
+     moves or a barrier resets the majority, so [cycle_skip] skips it. *)
+  let settle slot (w : Engine.wctx) =
+    slot.settled.(w.Engine.warp_in_tb) <- w.Engine.fi;
+    set_ok w true
+  in
   let process_warp slot (w : Engine.wctx) =
+    let win = w.Engine.warp_in_tb in
+    slot.settled.(win) <- -1;
     let rec go chain =
-      if Engine.warp_done w then set_ok w true
+      if Engine.warp_done w then settle slot w
       else begin
         let op = w.Engine.trace.(w.Engine.fi) in
         let idx = op.Record.idx in
-        let win = w.Engine.warp_in_tb in
-        if kinfo.Kinfo.is_barrier.(idx) then set_ok w true
+        if kinfo.Kinfo.is_barrier.(idx) then settle slot w
         else if
           op.Record.active land full_mask <> full_mask
           && Majority.on_path slot.majority win
-          && not (Engine.warp_done w)
         then begin
           (* Intra-warp SIMD divergence: leave the majority path (§4.5). *)
           drop_from_majority ~reason:1 slot w;
           set_ok w true
         end
-        else if not (Majority.on_path slot.majority win) then set_ok w true
+        else if not (Majority.on_path slot.majority win) then settle slot w
         else if kinfo.Kinfo.is_branch.(idx) then begin
           let key = (idx, op.Record.occ) in
           let entry =
@@ -240,11 +260,11 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
             let arrived' = entry.arrived lor (1 lsl win) in
             if arrived' <> entry.arrived then begin
               mutated ();
+              if entry.arrived = 0 then slot.open_syncs <- slot.open_syncs + 1;
               entry.arrived <- arrived'
             end;
-            if entry.arrived land effective_majority slot
-               = effective_majority slot
-            then begin
+            let majority = effective_majority slot in
+            if entry.arrived land majority = majority then begin
               release_sync slot entry;
               set_ok w true
             end
@@ -262,13 +282,14 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
              for free. *)
           let is_parked = w.Engine.parked_at = w.Engine.fi in
           let port_ok =
-            chain > 0 || is_parked || Hashtbl.mem probed idx
-            || Hashtbl.length probed < cfg.Config.coalescer_ports
+            chain > 0 || is_parked || probed idx
+            || !n_probed < cfg.Config.coalescer_ports
           in
           if not port_ok then set_ok w false
           else begin
-            if (not is_parked) && not (Hashtbl.mem probed idx) then begin
-              Hashtbl.replace probed idx ();
+            if (not is_parked) && not (probed idx) then begin
+              probe_mark.(idx) <- !probe_gen;
+              incr n_probed;
               stats.Stats.coalescer_probes <- stats.Stats.coalescer_probes + 1
             end;
             if not is_parked then
@@ -345,7 +366,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
               end
           end
         end
-        else set_ok w true
+        else settle slot w
       end
     in
     go 0
@@ -354,20 +375,26 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
   let cycle_skip ~cycle =
     Skip_table.Telemetry.set_now telemetry cycle;
     state_mutated := false;
-    Hashtbl.reset probed;
+    incr probe_gen;
+    n_probed := 0;
+    (* TB visit order picks who gets the coalescer ports; digests pin it. *)
     Hashtbl.iter
       (fun _ slot ->
         (* Release branch syncs that completed since last cycle (e.g. the
            majority shrank). *)
-        Hashtbl.iter
-          (fun _ e ->
-            if (not e.released)
-               && e.arrived land effective_majority slot
-                  = effective_majority slot
-               && e.arrived <> 0
-            then release_sync slot e)
-          slot.syncs;
-        Array.iter (process_warp slot) slot.warps)
+        if slot.open_syncs > 0 then
+          Hashtbl.iter
+            (fun _ e ->
+              if (not e.released) && e.arrived <> 0 then begin
+                let majority = effective_majority slot in
+                if e.arrived land majority = majority then release_sync slot e
+              end)
+            slot.syncs;
+        Array.iter
+          (fun (w : Engine.wctx) ->
+            if w.Engine.fi <> slot.settled.(w.Engine.warp_in_tb) then
+              process_warp slot w)
+          slot.warps)
       slots;
     last_skip_steady := not !state_mutated
   in
@@ -440,13 +467,13 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
      the SM to step normally ([skip_reads_warp_state]), so the
      fast-forward steadiness snapshot is never trusted after it. *)
   let recheck_fetch (w : Engine.wctx) =
-    (match Hashtbl.find_opt slots w.Engine.tb_slot with
+    (match slot_of w with
     | Some slot -> process_warp slot w
     | None -> set_ok w true);
     w.Engine.fetch_ok
   in
   let on_issue ~cycle:_ (w : Engine.wctx) (op : Record.op) =
-    (match Hashtbl.find_opt slots w.Engine.tb_slot with
+    (match slot_of w with
     | None -> ()
     | Some slot ->
       if kinfo.Kinfo.is_barrier.(op.Record.idx) then begin
@@ -468,6 +495,8 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
             slot.warps;
           Skip_table.flush_all slot.skip;
           Hashtbl.reset slot.syncs;
+          slot.open_syncs <- 0;
+          Array.fill slot.settled 0 (Array.length slot.settled) (-1);
           slot.bar_arrived <- 0
         end
       end);
@@ -475,7 +504,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
   in
   let on_writeback ~cycle:_ (w : Engine.wctx) (op : Record.op) =
     if kinfo.Kinfo.tb_redundant.(op.Record.idx) then
-      match Hashtbl.find_opt slots w.Engine.tb_slot with
+      match slot_of w with
       | None -> ()
       | Some slot ->
         Skip_table.mark_writeback slot.skip ~pc:op.Record.idx
@@ -483,7 +512,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
   in
   let on_store ~atomic (w : Engine.wctx) =
     if not options.ignore_store then
-      match Hashtbl.find_opt slots w.Engine.tb_slot with
+      match slot_of w with
       | None -> ()
       | Some slot ->
         Skip_table.flush_loads slot.skip
@@ -497,7 +526,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
      remains executed because the 8-entry table was exhausted. *)
   let exec_fate (w : Engine.wctx) (op : Record.op) =
     let idx = op.Record.idx in
-    match Hashtbl.find_opt slots w.Engine.tb_slot with
+    match slot_of w with
     | None -> Darsie_obs.Ledger.Skip_disabled
     | Some slot -> (
       let win = w.Engine.warp_in_tb in
@@ -525,7 +554,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
             | Some _ | None -> Darsie_obs.Ledger.Evicted_capacity))
   in
   let on_tb_launch ~tb_slot ~warps =
-    Hashtbl.replace slots tb_slot
+    let slot =
       {
         skip =
           (let t =
@@ -536,11 +565,19 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
            t);
         majority = Majority.create ~warps:(Array.length warps);
         syncs = Hashtbl.create 64;
+        open_syncs = 0;
+        settled = Array.make (Array.length warps) (-1);
         warps;
         bar_arrived = 0;
       }
+    in
+    Hashtbl.replace slots tb_slot slot;
+    by_slot.(tb_slot) <- Some slot
   in
-  let on_tb_finish ~tb_slot = Hashtbl.remove slots tb_slot in
+  let on_tb_finish ~tb_slot =
+    Hashtbl.remove slots tb_slot;
+    by_slot.(tb_slot) <- None
+  in
   let debug_state () =
     Hashtbl.fold
       (fun _ slot (entries, insts, parked_w, syncs) ->
@@ -551,7 +588,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
               (fun a (w : Engine.wctx) ->
                 if w.Engine.parked_at >= 0 then a + 1 else a)
               0 slot.warps,
-          syncs + Hashtbl.length slot.syncs ))
+          syncs + slot.open_syncs ))
       slots
       (0, 0, 0, 0)
     |> fun (entries, insts, parked_w, syncs) ->

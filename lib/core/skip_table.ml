@@ -1,3 +1,14 @@
+(* Entries and telemetry cells are keyed by PC. Nothing reads a table's
+   iteration order (snapshots sort by PC, sweeps only add up counts), so
+   the key hashes to itself. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash (pc : int) = pc
+end)
+
 (* Per-PC entry telemetry, shared by every table the engine creates so
    the counts survive TB retirement (tables are per resident TB and die
    with it). The logical clock is set once per cycle by the engine. *)
@@ -11,16 +22,16 @@ module Telemetry = struct
     mutable lifetime : int;
   }
 
-  type t = { mutable now : int; cells : (int, cell) Hashtbl.t }
+  type t = { mutable now : int; cells : cell Itbl.t }
 
-  let create () = { now = 0; cells = Hashtbl.create 16 }
+  let create () = { now = 0; cells = Itbl.create 16 }
 
   let set_now t cycle = t.now <- cycle
 
   let now t = t.now
 
   let cell t pc =
-    match Hashtbl.find_opt t.cells pc with
+    match Itbl.find_opt t.cells pc with
     | Some c -> c
     | None ->
       let c =
@@ -33,15 +44,17 @@ module Telemetry = struct
           lifetime = 0;
         }
       in
-      Hashtbl.add t.cells pc c;
+      Itbl.add t.cells pc c;
       c
 
-  let note_park t ~pc = (cell t pc).parks <- (cell t pc).parks + 1
+  let note_parks t ~pc ~n =
+    let c = cell t pc in
+    c.parks <- c.parks + n
 
-  let note_parks t ~pc ~n = (cell t pc).parks <- (cell t pc).parks + n
+  let note_park t ~pc = note_parks t ~pc ~n:1
 
   let entries t =
-    Hashtbl.fold
+    Itbl.fold
       (fun pc c acc ->
         ( pc,
           {
@@ -72,7 +85,7 @@ type t = {
   max_entries : int;
   rename_regs : int;
   mutable free : int;
-  table : (int, entry) Hashtbl.t;
+  table : entry Itbl.t;
   mutable telemetry : Telemetry.t option;
   (* Store/atomic-flushed load instances, keyed (pc, occ), remembering
      what flushed them and who led; the skip ledger consumes one record
@@ -86,7 +99,7 @@ let create ~max_entries ~rename_regs =
     max_entries;
     rename_regs;
     free = rename_regs;
-    table = Hashtbl.create 16;
+    table = Itbl.create 16;
     telemetry = None;
     flushed = Hashtbl.create 16;
   }
@@ -107,15 +120,19 @@ let tel_free t pc (i : instance) kind =
       | `Barrier_flush ->
         c.Telemetry.barrier_flushes <- c.Telemetry.barrier_flushes + 1)
 
+let rec find_occ occ = function
+  | [] -> None
+  | i :: rest -> if i.occ = occ then Some i else find_occ occ rest
+
 let find t ~pc ~occ =
-  match Hashtbl.find_opt t.table pc with
+  match Itbl.find_opt t.table pc with
   | None -> None
-  | Some e -> List.find_opt (fun i -> i.occ = occ) e.instances
+  | Some e -> find_occ occ e.instances
 
 let has_free_reg t = t.free > 0
 
 let has_entry_slot t ~pc =
-  Hashtbl.mem t.table pc || Hashtbl.length t.table < t.max_entries
+  Itbl.mem t.table pc || Itbl.length t.table < t.max_entries
 
 let can_allocate t ~pc = has_entry_slot t ~pc && has_free_reg t
 
@@ -130,9 +147,9 @@ let allocate t ~pc ~occ ~leader ~mem_dep =
   let inst =
     { occ; leader; leader_wb = false; done_mask = 1 lsl leader; mem_dep; born }
   in
-  (match Hashtbl.find_opt t.table pc with
+  (match Itbl.find_opt t.table pc with
   | Some e -> e.instances <- inst :: e.instances
-  | None -> Hashtbl.add t.table pc { pc; instances = [ inst ] });
+  | None -> Itbl.add t.table pc { pc; instances = [ inst ] });
   t.free <- t.free - 1;
   tel_do t (fun tel ->
       let c = Telemetry.cell tel pc in
@@ -147,10 +164,10 @@ let sweep_entry t majority e =
   t.free <- t.free + List.length dead;
   List.iter (fun i -> tel_free t e.pc i `Swept) dead;
   e.instances <- live;
-  if live = [] then Hashtbl.remove t.table e.pc
+  if live = [] then Itbl.remove t.table e.pc
 
 let sweep t ~pc ~majority =
-  match Hashtbl.find_opt t.table pc with
+  match Itbl.find_opt t.table pc with
   | None -> ()
   | Some e -> sweep_entry t majority e
 
@@ -171,11 +188,11 @@ let mark_passed t ~pc ~occ ~warp ~majority =
   sweep t ~pc ~majority
 
 let recheck t ~majority =
-  let entries = Hashtbl.fold (fun _ e acc -> e :: acc) t.table [] in
+  let entries = Itbl.fold (fun _ e acc -> e :: acc) t.table [] in
   List.iter (sweep_entry t majority) entries
 
 let flush_loads t ~kind =
-  let entries = Hashtbl.fold (fun _ e acc -> e :: acc) t.table [] in
+  let entries = Itbl.fold (fun _ e acc -> e :: acc) t.table [] in
   List.iter
     (fun e ->
       let live, dead = List.partition (fun i -> not i.mem_dep) e.instances in
@@ -186,30 +203,32 @@ let flush_loads t ~kind =
           Hashtbl.replace t.flushed (e.pc, i.occ) (kind, i.leader))
         dead;
       e.instances <- live;
-      if live = [] then Hashtbl.remove t.table e.pc)
+      if live = [] then Itbl.remove t.table e.pc)
     entries
 
 let consume_flush t ~pc ~occ =
-  match Hashtbl.find_opt t.flushed (pc, occ) with
-  | None -> None
-  | Some record ->
-    Hashtbl.remove t.flushed (pc, occ);
-    Some record
+  if Hashtbl.length t.flushed = 0 then None
+  else
+    match Hashtbl.find_opt t.flushed (pc, occ) with
+    | None -> None
+    | Some record ->
+      Hashtbl.remove t.flushed (pc, occ);
+      Some record
 
 let flush_all t =
-  Hashtbl.iter
+  Itbl.iter
     (fun pc e -> List.iter (fun i -> tel_free t pc i `Barrier_flush) e.instances)
     t.table;
-  Hashtbl.reset t.table;
+  Itbl.reset t.table;
   Hashtbl.reset t.flushed;
   t.free <- t.rename_regs
 
-let live_entries t = Hashtbl.length t.table
+let live_entries t = Itbl.length t.table
 
 let free_regs t = t.free
 
 let live_instances t =
-  Hashtbl.fold (fun _ e acc -> acc + List.length e.instances) t.table 0
+  Itbl.fold (fun _ e acc -> acc + List.length e.instances) t.table 0
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -218,11 +237,11 @@ let check_invariants t =
   else if t.free + live_instances t <> t.rename_regs then
     fail "register leak: %d free + %d live <> %d total" t.free
       (live_instances t) (t.rename_regs)
-  else if Hashtbl.length t.table > t.max_entries then
-    fail "entry overflow: %d entries, %d slots" (Hashtbl.length t.table)
+  else if Itbl.length t.table > t.max_entries then
+    fail "entry overflow: %d entries, %d slots" (Itbl.length t.table)
       t.max_entries
   else
-    Hashtbl.fold
+    Itbl.fold
       (fun key e acc ->
         match acc with
         | Error _ -> acc

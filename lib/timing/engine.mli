@@ -44,9 +44,10 @@ type wctx = {
           stays 0 when the knob is off. Maintained by the SM *)
   mutable fetch_ok : bool;
       (** engine fetch gate ([can_fetch] for the gating engines); owned
-          by the engine, inlined here so the per-warp-per-cycle skip
-          phase pays a field access instead of a hash lookup. Starts
-          [true] *)
+          by the engine, inlined here so the skip phase pays a field
+          access instead of a hash lookup. DARSIE re-decides a warp only
+          when its cursor moved or its TB's majority reset, and leaves a
+          settled warp's gate at [true]. Starts [true] *)
   mutable parked_at : int;
       (** trace index this warp is parked at in a skip-table entry's
           warps-waiting bitmask, or [-1] when not parked; engine-owned *)

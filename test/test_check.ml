@@ -160,6 +160,27 @@ let test_wall_budget_beside_busy_domain () =
   check_bool "budgeted run completes beside a spinning domain" true
     (attempt () || attempt () || attempt ())
 
+(* The failure dump counts a branch sync as open while it has arrivals
+   and no release. LIB stopped at 3,000 cycles on DARSIE has one such
+   sync across its resident TBs; released entries (104 of them there)
+   stay in the tables until a barrier and must not be counted. *)
+let test_open_syncs_note () =
+  let module Suite = Darsie_harness.Suite in
+  let app =
+    match Darsie_workloads.Registry.find "LIB" with
+    | Some w -> Suite.load_app w
+    | None -> Alcotest.fail "no LIB workload"
+  in
+  let cfg =
+    { Config.default with Config.watchdog_cycles = 0; max_cycles = 3000 }
+  in
+  match Suite.run_app_checked ~cfg app Suite.Darsie with
+  | Error (Sim_error.Cycle_bound { diag; _ }) ->
+    check_int "open_syncs" 1 (List.assoc "open_syncs" diag.Sim_error.d_notes)
+  | Ok _ -> Alcotest.fail "should hit the cycle bound"
+  | Error e ->
+    Alcotest.failf "expected cycle_bound, got %s" (Sim_error.kind_name e)
+
 let test_clean_run_still_ok () =
   let kinfo, trace = small_trace () in
   let cfg = { Config.default with Config.watchdog_cycles = 50 } in
@@ -481,6 +502,8 @@ let () =
           Alcotest.test_case "wall timeout" `Quick test_wall_timeout;
           Alcotest.test_case "wall budget beside a busy domain" `Quick
             test_wall_budget_beside_busy_domain;
+          Alcotest.test_case "open syncs in the dump" `Quick
+            test_open_syncs_note;
           Alcotest.test_case "clean run unaffected" `Quick test_clean_run_still_ok;
         ] );
       ( "emu-deadlock",

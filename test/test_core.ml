@@ -320,6 +320,67 @@ let test_darsie_counters () =
   check_bool "renames recorded" true (darsie.Gpu.stats.Stats.rename_accesses > 0);
   check_bool "coalescer used" true (darsie.Gpu.stats.Stats.coalescer_probes > 0)
 
+(* The DARSIE family's simulated counters on four Table-1 apps at scale 1:
+   cycles, skipped_prefetch, darsie_sync_stalls, skip_table_probes and
+   coalescer_probes. The skip phase's per-cycle TB visit order decides
+   which TBs get the PC-coalescer ports, and a barrier's majority reset
+   decides which warps rejoin the path; a change to either moves these
+   numbers. The cycles equal perfbench/expected/matrix.txt. *)
+let pinned_darsie_counters =
+  let module S = Darsie_harness.Suite in
+  [
+    ( "FWS",
+      [
+        (S.Darsie, [ 671; 896; 17886; 2735; 735 ]);
+        (S.Darsie_ignore_store, [ 671; 896; 17886; 2735; 735 ]);
+        (S.Darsie_no_cf_sync, [ 658; 896; 0; 4040; 866 ]);
+      ] );
+    ( "HS",
+      [
+        (S.Darsie, [ 1235; 1904; 34496; 6322; 2845 ]);
+        (S.Darsie_ignore_store, [ 1235; 1904; 34496; 6322; 2845 ]);
+        (S.Darsie_no_cf_sync, [ 1239; 1904; 0; 9239; 2521 ]);
+      ] );
+    ( "BP",
+      [
+        (S.Darsie, [ 1922; 1274; 38263; 6476; 2257 ]);
+        (S.Darsie_ignore_store, [ 1754; 1288; 37213; 6476; 2209 ]);
+        (S.Darsie_no_cf_sync, [ 1766; 1288; 0; 7982; 2609 ]);
+      ] );
+    ( "DCT8x8",
+      [
+        (S.Darsie, [ 2510; 1454; 42646; 33782; 8554 ]);
+        (S.Darsie_ignore_store, [ 2497; 1472; 41882; 33490; 8453 ]);
+        (S.Darsie_no_cf_sync, [ 2741; 1404; 0; 60224; 9434 ]);
+      ] );
+  ]
+
+let test_darsie_family_pinned () =
+  let module S = Darsie_harness.Suite in
+  List.iter
+    (fun (abbr, cells) ->
+      let app =
+        match Darsie_workloads.Registry.find abbr with
+        | Some w -> S.load_app ~scale:1 w
+        | None -> Alcotest.failf "no workload %s" abbr
+      in
+      List.iter
+        (fun (m, expected) ->
+          let r = S.run_app app m in
+          let st = r.S.gpu.Gpu.stats in
+          Alcotest.(check (list int))
+            (abbr ^ "/" ^ S.machine_name m)
+            expected
+            [
+              r.S.gpu.Gpu.cycles;
+              st.Stats.skipped_prefetch;
+              st.Stats.darsie_sync_stalls;
+              st.Stats.skip_table_probes;
+              st.Stats.coalescer_probes;
+            ])
+        cells)
+    pinned_darsie_counters
+
 let test_engine_names () =
   check_bool "names" true
     (Darsie_engine.name_of Darsie_engine.default_options = "DARSIE"
@@ -357,6 +418,8 @@ let () =
           Alcotest.test_case "no-cf-sync" `Quick
             test_darsie_no_cf_sync_skips_at_least_as_much;
           Alcotest.test_case "counters" `Quick test_darsie_counters;
+          Alcotest.test_case "family counters pinned" `Quick
+            test_darsie_family_pinned;
           Alcotest.test_case "names" `Quick test_engine_names;
         ] );
     ]
