@@ -95,7 +95,9 @@ fuzz-smoke: build
 	$(DUNE) exec bin/darsie.exe -- fuzz --replay-corpus test/corpus
 
 # Trace-cache smoke: the same profiled run twice through a fresh cache
-# directory must miss-then-hit and print byte-identical output.
+# directory must miss-then-hit and print byte-identical output. Then the
+# entry is cut to half its size: the third run must read it as a miss,
+# regenerate, and print exactly what the first run printed.
 cache-smoke: build
 	mkdir -p $(SMOKE_DIR)
 	rm -rf $(SMOKE_DIR)/cache
@@ -108,6 +110,14 @@ cache-smoke: build
 	grep -v "trace cache:" $(SMOKE_DIR)/cache_run1.txt > $(SMOKE_DIR)/cache_run1.cmp
 	grep -v "trace cache:" $(SMOKE_DIR)/cache_run2.txt > $(SMOKE_DIR)/cache_run2.cmp
 	diff $(SMOKE_DIR)/cache_run1.cmp $(SMOKE_DIR)/cache_run2.cmp
+	for f in $(SMOKE_DIR)/cache/*.trace; do \
+	  head -c $$(( $$(wc -c < $$f) / 2 )) $$f > $$f.half && mv $$f.half $$f \
+	    || exit 1; \
+	done
+	$(DUNE) exec bin/darsie.exe -- run MM -m DARSIE \
+	  --cache $(SMOKE_DIR)/cache | tee $(SMOKE_DIR)/cache_run3.txt \
+	  | grep -q "1 miss"
+	diff $(SMOKE_DIR)/cache_run1.txt $(SMOKE_DIR)/cache_run3.txt
 
 # Fast-forward smoke: the event-driven cycle loop must leave every
 # simulated metric bit-identical to stepping each cycle. One

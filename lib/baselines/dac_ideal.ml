@@ -7,5 +7,6 @@ let factory : Engine.factory =
     base with
     Engine.name = "DAC-IDEAL";
     remove_at_fetch =
-      (fun _ op -> kinfo.Kinfo.dac_removable.(op.Darsie_trace.Record.idx));
+      (fun w i ->
+        kinfo.Kinfo.dac_removable.(Darsie_trace.Record.idx w.Engine.trace i));
   }

@@ -8,8 +8,8 @@ let factory : Engine.factory =
     base with
     Engine.name = "TB-IDEAL";
     remove_at_fetch =
-      (fun w op ->
-        kinfo.Kinfo.tb_redundant.(op.Darsie_trace.Record.idx)
+      (fun w i ->
+        kinfo.Kinfo.tb_redundant.(Darsie_trace.Record.idx w.Engine.trace i)
         && w.Engine.warp_in_tb <> 0
-        && op.Darsie_trace.Record.active land full = full);
+        && Darsie_trace.Record.active w.Engine.trace i land full = full);
   }

@@ -7,25 +7,28 @@ let factory : Engine.factory =
  fun kinfo _cfg stats ->
   (* (tb_slot, pc) -> reuse-buffer slot *)
   let buffer : (int * int, buf_slot) Hashtbl.t = Hashtbl.create 256 in
-  let on_issue ~cycle:_ (w : Engine.wctx) (op : Record.op) =
-    let idx = op.Record.idx in
+  let on_issue ~cycle:_ (w : Engine.wctx) i =
+    let idx = Record.idx w.Engine.trace i in
     if not kinfo.Kinfo.uv_eligible.(idx) then Engine.Execute
     else begin
       let key = (w.Engine.tb_slot, idx) in
+      let occ = Record.occ w.Engine.trace i in
       match Hashtbl.find_opt buffer key with
-      | Some slot when slot.occ = op.Record.occ && slot.ready -> Engine.Drop
-      | Some slot when slot.occ = op.Record.occ ->
+      | Some slot when slot.occ = occ && slot.ready -> Engine.Drop
+      | Some slot when slot.occ = occ ->
         (* Value still in flight: reuse-buffer miss, execute normally. *)
         Engine.Execute
       | _ ->
-        Hashtbl.replace buffer key { occ = op.Record.occ; ready = false };
+        Hashtbl.replace buffer key { occ; ready = false };
         Engine.Execute
     end
   in
-  let on_writeback ~cycle:_ (w : Engine.wctx) (op : Record.op) =
-    if kinfo.Kinfo.uv_eligible.(op.Record.idx) then
-      match Hashtbl.find_opt buffer (w.Engine.tb_slot, op.Record.idx) with
-      | Some slot when slot.occ = op.Record.occ -> slot.ready <- true
+  let on_writeback ~cycle:_ (w : Engine.wctx) i =
+    let idx = Record.idx w.Engine.trace i in
+    if kinfo.Kinfo.uv_eligible.(idx) then
+      match Hashtbl.find_opt buffer (w.Engine.tb_slot, idx) with
+      | Some slot when slot.occ = Record.occ w.Engine.trace i ->
+        slot.ready <- true
       | _ -> ()
   in
   let on_tb_finish ~tb_slot =

@@ -40,8 +40,8 @@ let alive_mask slot =
     0 slot.warps
 
 let successor_of (w : Engine.wctx) =
-  if w.Engine.fi + 1 < Array.length w.Engine.trace then
-    w.Engine.trace.(w.Engine.fi + 1).Record.idx
+  if w.Engine.fi + 1 < Record.length w.Engine.trace then
+    Record.idx w.Engine.trace (w.Engine.fi + 1)
   else -1
 
 let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
@@ -223,11 +223,10 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
     let rec go chain =
       if Engine.warp_done w then settle slot w
       else begin
-        let op = w.Engine.trace.(w.Engine.fi) in
-        let idx = op.Record.idx in
+        let idx = Record.idx w.Engine.trace w.Engine.fi in
         if kinfo.Kinfo.is_barrier.(idx) then settle slot w
         else if
-          op.Record.active land full_mask <> full_mask
+          Record.active w.Engine.trace w.Engine.fi land full_mask <> full_mask
           && Majority.on_path slot.majority win
         then begin
           (* Intra-warp SIMD divergence: leave the majority path (§4.5). *)
@@ -236,7 +235,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
         end
         else if not (Majority.on_path slot.majority win) then settle slot w
         else if kinfo.Kinfo.is_branch.(idx) then begin
-          let key = (idx, op.Record.occ) in
+          let key = (idx, Record.occ w.Engine.trace w.Engine.fi) in
           let entry =
             match Hashtbl.find_opt slot.syncs key with
             | Some e -> e
@@ -294,7 +293,8 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
             end;
             if not is_parked then
               stats.Stats.skip_table_probes <- stats.Stats.skip_table_probes + 1;
-            match Skip_table.find slot.skip ~pc:idx ~occ:op.Record.occ with
+            let occ = Record.occ w.Engine.trace w.Engine.fi in
+            match Skip_table.find slot.skip ~pc:idx ~occ with
             | Some inst when inst.Skip_table.leader = win ->
               (* The leader executes its own instruction. *)
               unpark w;
@@ -315,8 +315,8 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
               stats.Stats.skipped_prefetch <- stats.Stats.skipped_prefetch + 1;
               stats.Stats.rename_accesses <- stats.Stats.rename_accesses + 1;
               elim_shape idx;
-              Skip_table.mark_passed slot.skip ~pc:idx ~occ:op.Record.occ
-                ~warp:win ~majority:(effective_majority slot);
+              Skip_table.mark_passed slot.skip ~pc:idx ~occ ~warp:win
+                ~majority:(effective_majority slot);
               clear_stall w;
               if chain + 1 < cfg.Config.max_skips_per_warp_cycle then
                 go (chain + 1)
@@ -356,8 +356,8 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
               end
               else begin
                 mutated ();
-                Skip_table.allocate slot.skip ~pc:idx ~occ:op.Record.occ
-                  ~leader:win ~mem_dep:kinfo.Kinfo.mem_dep.(idx);
+                Skip_table.allocate slot.skip ~pc:idx ~occ ~leader:win
+                  ~mem_dep:kinfo.Kinfo.mem_dep.(idx);
                 stats.Stats.rename_accesses <- stats.Stats.rename_accesses + 1;
                 clear_stall w;
                 unpark w;
@@ -472,11 +472,11 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
     | None -> set_ok w true);
     w.Engine.fetch_ok
   in
-  let on_issue ~cycle:_ (w : Engine.wctx) (op : Record.op) =
+  let on_issue ~cycle:_ (w : Engine.wctx) i =
     (match slot_of w with
     | None -> ()
     | Some slot ->
-      if kinfo.Kinfo.is_barrier.(op.Record.idx) then begin
+      if kinfo.Kinfo.is_barrier.(Record.idx w.Engine.trace i) then begin
         slot.bar_arrived <- slot.bar_arrived lor (1 lsl w.Engine.warp_in_tb);
         let expected =
           Array.fold_left
@@ -502,13 +502,15 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
       end);
     Engine.Execute
   in
-  let on_writeback ~cycle:_ (w : Engine.wctx) (op : Record.op) =
-    if kinfo.Kinfo.tb_redundant.(op.Record.idx) then
+  let on_writeback ~cycle:_ (w : Engine.wctx) i =
+    let idx = Record.idx w.Engine.trace i in
+    if kinfo.Kinfo.tb_redundant.(idx) then
       match slot_of w with
       | None -> ()
       | Some slot ->
-        Skip_table.mark_writeback slot.skip ~pc:op.Record.idx
-          ~occ:op.Record.occ ~majority:(effective_majority slot)
+        Skip_table.mark_writeback slot.skip ~pc:idx
+          ~occ:(Record.occ w.Engine.trace i)
+          ~majority:(effective_majority slot)
   in
   let on_store ~atomic (w : Engine.wctx) =
     if not options.ignore_store then
@@ -524,8 +526,9 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
      also covers the original leader refetching post-flush), then the
      bounded freelist wait, then a live instance led by this warp; what
      remains executed because the 8-entry table was exhausted. *)
-  let exec_fate (w : Engine.wctx) (op : Record.op) =
-    let idx = op.Record.idx in
+  let exec_fate (w : Engine.wctx) i =
+    let idx = Record.idx w.Engine.trace i in
+    let occ = Record.occ w.Engine.trace i in
     match slot_of w with
     | None -> Darsie_obs.Ledger.Skip_disabled
     | Some slot -> (
@@ -534,7 +537,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
       else if w.Engine.drop_reason = 2 then Darsie_obs.Ledger.Blocked_branch_sync
       else
         match
-          Skip_table.consume_flush slot.skip ~pc:idx ~occ:op.Record.occ
+          Skip_table.consume_flush slot.skip ~pc:idx ~occ
         with
         | Some (_, leader) when leader = win ->
           (* The leader's own execution: the flush happened between its
@@ -548,7 +551,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
             Darsie_obs.Ledger.Freelist_stall
           end
           else
-            match Skip_table.find slot.skip ~pc:idx ~occ:op.Record.occ with
+            match Skip_table.find slot.skip ~pc:idx ~occ with
             | Some inst when inst.Skip_table.leader = win ->
               Darsie_obs.Ledger.Leader_executed
             | Some _ | None -> Darsie_obs.Ledger.Evicted_capacity))

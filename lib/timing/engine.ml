@@ -3,9 +3,9 @@ type wctx = {
   tb_slot : int;
   tb_id : int;
   warp_in_tb : int;
-  trace : Darsie_trace.Record.op array;
+  trace : Darsie_trace.Record.warp;
   mutable fi : int;
-  ibuf : (Darsie_trace.Record.op * int) Queue.t;
+  ibuf : (int * int) Queue.t;
   pending : int array;
   mutable pending_count : int;
   mutable at_barrier : bool;
@@ -28,9 +28,7 @@ type wctx = {
   mutable gave_up_at : int;
 }
 
-let warp_done w = w.fi >= Array.length w.trace
-
-let next_op w = if warp_done w then None else Some w.trace.(w.fi)
+let warp_done w = w.fi >= Darsie_trace.Record.length w.trace
 
 type issue_decision = Execute | Drop
 
@@ -56,14 +54,14 @@ type t = {
   (* Fresh fetch-gate decision at the warp's current cursor; bundle
      follower slots must use this, not the (stale) [can_fetch]. *)
   recheck_fetch : wctx -> bool;
-  remove_at_fetch : wctx -> Darsie_trace.Record.op -> bool;
-  on_issue : cycle:int -> wctx -> Darsie_trace.Record.op -> issue_decision;
-  on_writeback : cycle:int -> wctx -> Darsie_trace.Record.op -> unit;
+  remove_at_fetch : wctx -> int -> bool;
+  on_issue : cycle:int -> wctx -> int -> issue_decision;
+  on_writeback : cycle:int -> wctx -> int -> unit;
   on_store : atomic:bool -> wctx -> unit;
   (* Classify one executed (fetched, not skipped) occurrence of a
      statically eligible instruction for the skip ledger; the SM calls it
      at fetch time, once per occurrence. *)
-  exec_fate : wctx -> Darsie_trace.Record.op -> Darsie_obs.Ledger.fate;
+  exec_fate : wctx -> int -> Darsie_obs.Ledger.fate;
   (* The SM hands the engine its per-SM skip ledger at construction so
      engine-internal skips (DARSIE's pre-fetch path) can record fates. *)
   set_ledger : Darsie_obs.Ledger.t -> unit;

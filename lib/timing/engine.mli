@@ -22,10 +22,10 @@ type wctx = {
   tb_slot : int;  (** SM-local threadblock slot *)
   tb_id : int;  (** global threadblock index *)
   warp_in_tb : int;
-  trace : Darsie_trace.Record.op array;
-  mutable fi : int;  (** next trace index to fetch *)
-  ibuf : (Darsie_trace.Record.op * int) Queue.t;
-      (** fetched (op, fetch_cycle) pairs awaiting issue *)
+  trace : Darsie_trace.Record.warp;
+  mutable fi : int;  (** next trace position to fetch *)
+  ibuf : (int * int) Queue.t;
+      (** fetched (trace position, fetch_cycle) pairs awaiting issue *)
   pending : int array;  (** scoreboard: outstanding writes per vreg *)
   mutable pending_count : int;
   mutable at_barrier : bool;
@@ -67,8 +67,6 @@ type wctx = {
 
 val warp_done : wctx -> bool
 (** Trace exhausted and nothing left in flight for fetch purposes. *)
-
-val next_op : wctx -> Darsie_trace.Record.op option
 
 type issue_decision = Execute | Drop
 
@@ -114,13 +112,16 @@ type t = {
           would) and return the fresh gate; stateless engines return
           [true]. Called by the SM's fetch phase only between bundle
           slots, never for the first slot of a cycle *)
-  remove_at_fetch : wctx -> Darsie_trace.Record.op -> bool;
-  on_issue : cycle:int -> wctx -> Darsie_trace.Record.op -> issue_decision;
-  on_writeback : cycle:int -> wctx -> Darsie_trace.Record.op -> unit;
+  remove_at_fetch : wctx -> int -> bool;
+      (** the op hooks name an op by its position in the warp's
+          [trace]; read its fields with the {!Darsie_trace.Record}
+          accessors *)
+  on_issue : cycle:int -> wctx -> int -> issue_decision;
+  on_writeback : cycle:int -> wctx -> int -> unit;
   on_store : atomic:bool -> wctx -> unit;
       (** a store ([atomic = false]) or atomic ([atomic = true]) issued
           by this warp's TB — the load-entry flush trigger (§4.4) *)
-  exec_fate : wctx -> Darsie_trace.Record.op -> Darsie_obs.Ledger.fate;
+  exec_fate : wctx -> int -> Darsie_obs.Ledger.fate;
       (** classify one {e executed} (really fetched) occurrence of a
           statically eligible instruction for the skip ledger; called by
           the SM's fetch phase exactly once per such occurrence. Engines

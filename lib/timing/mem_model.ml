@@ -1,53 +1,65 @@
-(* Int-keyed hash tables for the per-access hot paths; same hash as the
-   polymorphic default (so bucket layouts — and thus any iteration
-   order — are unchanged), but with monomorphic key equality. *)
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
+module Record = Darsie_trace.Record
 
-  let equal (a : int) (b : int) = a = b
+(* Working storage for the two per-access functions below, so neither
+   allocates on the issue path; grown on demand, owned by one SM. *)
+type scratch = { mutable lines : int array; mutable keys : int array }
 
-  let hash = Hashtbl.hash
-end)
+let scratch () = { lines = Array.make 32 0; keys = Array.make 32 0 }
 
-let rec mem_int (x : int) = function
-  | [] -> false
-  | y :: ys -> y = x || mem_int x ys
+let coalesce s ~line_bytes w i =
+  let n = Record.naddrs w i in
+  if n > Array.length s.lines then s.lines <- Array.make n 0;
+  let lines = s.lines in
+  let nl = ref 0 in
+  for k = 0 to n - 1 do
+    let a = Record.addr w i k in
+    let line = a - (a mod line_bytes) in
+    (* newest first: neighbouring lanes usually share the last line *)
+    let j = ref (!nl - 1) in
+    while !j >= 0 && lines.(!j) <> line do
+      decr j
+    done;
+    if !j < 0 then begin
+      lines.(!nl) <- line;
+      incr nl
+    end
+  done;
+  !nl
 
-let coalesce ~line_bytes accesses =
-  let seen = Int_tbl.create 32 in
-  let lines = ref [] in
-  Array.iter
-    (fun addr ->
-      let line = addr - (addr mod line_bytes) in
-      if not (Int_tbl.mem seen line) then begin
-        Int_tbl.add seen line ();
-        lines := line :: !lines
-      end)
-    accesses;
-  List.rev !lines
+let line s k = s.lines.(k)
 
-let shared_conflicts ~banks accesses =
-  if Array.length accesses = 0 then 0
+(* A word address is below 2^30 (addresses are 32-bit), and so is its
+   bank, so (bank, word) packs into one int that sorts bank-major. *)
+let word_bits = 30
+
+let shared_conflicts s ~banks w i =
+  let n = Record.naddrs w i in
+  if n = 0 then 0
   else begin
     (* bank = word address mod banks; distinct words on the same bank
-       serialize, identical words broadcast *)
-    let per_bank = Int_tbl.create 64 in
-    Array.iter
-      (fun addr ->
-        let word = addr / 4 in
-        let bank = word mod banks in
-        let words =
-          match Int_tbl.find_opt per_bank bank with
-          | None -> []
-          | Some ws -> ws
-        in
-        if not (mem_int word words) then
-          Int_tbl.replace per_bank bank (word :: words))
-      accesses;
-    let worst =
-      Int_tbl.fold (fun _ ws acc -> max acc (List.length ws)) per_bank 1
-    in
-    worst - 1
+       serialize, identical words broadcast. Insertion-sort the packed
+       (bank, word) keys, then count distinct words per bank run. *)
+    if n > Array.length s.keys then s.keys <- Array.make n 0;
+    let keys = s.keys in
+    for k = 0 to n - 1 do
+      let word = Record.addr w i k / 4 in
+      let key = ((word mod banks) lsl word_bits) lor word in
+      let j = ref (k - 1) in
+      while !j >= 0 && keys.(!j) > key do
+        keys.(!j + 1) <- keys.(!j);
+        decr j
+      done;
+      keys.(!j + 1) <- key
+    done;
+    let worst = ref 1 and run = ref 1 in
+    for k = 1 to n - 1 do
+      if keys.(k) lsr word_bits <> keys.(k - 1) lsr word_bits then run := 1
+      else if keys.(k) <> keys.(k - 1) then begin
+        incr run;
+        if !run > !worst then worst := !run
+      end
+    done;
+    !worst - 1
   end
 
 module L1 = struct

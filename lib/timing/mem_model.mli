@@ -1,14 +1,28 @@
 (** Memory-system timing: global-memory coalescing, a per-SM L1 cache, a
     shared DRAM channel and shared-memory bank-conflict accounting. *)
 
-val coalesce : line_bytes:int -> int array -> int list
-(** Unique cache-line base addresses touched by a warp's accesses, in first
-    touch order — the number of memory transactions after coalescing. *)
+type scratch
+(** Working storage for {!coalesce} and {!shared_conflicts}, so neither
+    allocates. Each SM owns one; it must not be shared across domains. *)
 
-val shared_conflicts : banks:int -> int array -> int
-(** Extra serialization cycles from shared-memory bank conflicts: with
-    word-interleaved banks, the maximum number of distinct words mapped to
-    one bank, minus one. Lanes reading the same word broadcast for free. *)
+val scratch : unit -> scratch
+
+val coalesce :
+  scratch -> line_bytes:int -> Darsie_trace.Record.warp -> int -> int
+(** [coalesce s ~line_bytes w i] reads op [i]'s addresses in place and
+    returns the number of unique cache lines they touch — the number of
+    memory transactions after coalescing. Their base addresses, in first
+    touch order, are [line s 0] .. [line s (n - 1)] until the next call
+    on [s]. *)
+
+val line : scratch -> int -> int
+
+val shared_conflicts :
+  scratch -> banks:int -> Darsie_trace.Record.warp -> int -> int
+(** Extra serialization cycles from op [i]'s shared-memory bank
+    conflicts: with word-interleaved banks, the maximum number of
+    distinct words mapped to one bank, minus one. Lanes reading the same
+    word broadcast for free. *)
 
 (** Set-associative, write-through, no-write-allocate L1 with LRU
     replacement. *)

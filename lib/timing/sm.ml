@@ -11,7 +11,7 @@ type slot_state = {
 
 type in_flight = {
   fly_warp : Engine.wctx;
-  fly_op : Record.op;
+  fly_pos : int;  (* the op's position in [fly_warp]'s trace *)
   (* A deferred DRAM request carries a [max_int] placeholder until the
      epoch barrier replays the queue and patches the real completion in
      ([commit_epoch]). *)
@@ -37,6 +37,7 @@ type t = {
   engine : Engine.t;
   l1 : Mem_model.L1.t;
   icache : Mem_model.L1.t;
+  mem_scratch : Mem_model.scratch;
   collectors : int array;  (* per-unit busy-until cycle *)
   slots : slot_state array;
   warps : Engine.wctx option array;  (* wid = slot * warps_per_tb + lane *)
@@ -124,6 +125,7 @@ let create ?(sm_id = 0) ?(sink = Obs.Sink.null) ?series ?pcstat cfg kinfo
     icache =
       Mem_model.L1.create ~bytes:cfg.Config.icache_bytes ~assoc:4
         ~line:cfg.Config.icache_line;
+    mem_scratch = Mem_model.scratch ();
     collectors = Array.make cfg.Config.collector_units 0;
     slots =
       Array.init slots (fun _ ->
@@ -227,11 +229,11 @@ let launch_tb t ~tb_id ~traces =
      the fetch-path bookkeeping it verifies. *)
   Array.iter
     (fun trace ->
-      Array.iter
-        (fun (op : Record.op) ->
-          if t.kinfo.Kinfo.marked_eligible.(op.Record.idx) then
-            Obs.Ledger.note_expected t.ledger ~pc:op.Record.idx)
-        trace)
+      for i = 0 to Record.length trace - 1 do
+        let idx = Record.idx trace i in
+        if t.kinfo.Kinfo.marked_eligible.(idx) then
+          Obs.Ledger.note_expected t.ledger ~pc:idx
+      done)
     traces;
   Array.iteri
     (fun w ctx -> t.warps.((slot_idx * t.warps_per_tb) + w) <- Some ctx)
@@ -278,9 +280,9 @@ let warp_snapshots t =
     (function
       | None -> ()
       | Some (w : Engine.wctx) ->
-        let len = Array.length w.Engine.trace in
+        let len = Record.length w.Engine.trace in
         let pc =
-          if w.Engine.fi < len then w.Engine.trace.(w.Engine.fi).Record.idx
+          if w.Engine.fi < len then Record.idx w.Engine.trace w.Engine.fi
           else -1
         in
         let drained = Engine.warp_done w && Queue.is_empty w.Engine.ibuf in
@@ -342,19 +344,22 @@ let is_mem_class t idx =
   | Kinfo.Mem_global | Kinfo.Mem_shared -> true
   | Kinfo.Alu | Kinfo.Sfu | Kinfo.Ctrl -> false
 
+(* Static instruction index of an in-flight op. *)
+let fly_idx f = Record.idx f.fly_warp.Engine.trace f.fly_pos
+
 (* Record one operation entering the pipeline between issue and
    writeback; every insertion site must go through here so the
    maintained counters ([n_inflight], [next_wb], per-warp
    [mem_inflight], [mshr_used]) stay consistent with the list.
    [mshrs] is the number of MSHR entries the op allocated (missed
    lines of a gated global load; 0 everywhere else). *)
-let add_inflight ?(mshrs = 0) t (w : Engine.wctx) op ~finish =
-  t.inflight <- { fly_warp = w; fly_op = op; finish; fly_mshrs = mshrs }
+let add_inflight ?(mshrs = 0) t (w : Engine.wctx) pos ~finish =
+  t.inflight <- { fly_warp = w; fly_pos = pos; finish; fly_mshrs = mshrs }
                 :: t.inflight;
   t.n_inflight <- t.n_inflight + 1;
   if finish < t.next_wb then t.next_wb <- finish;
   if mshrs > 0 then w.Engine.mshr_used <- w.Engine.mshr_used + mshrs;
-  if is_mem_class t op.Record.idx then
+  if is_mem_class t (Record.idx w.Engine.trace pos) then
     w.Engine.mem_inflight <- w.Engine.mem_inflight + 1
 
 let writeback t =
@@ -369,7 +374,8 @@ let writeback t =
       (fun f ->
         if f.finish <= t.cycle then begin
           let w = f.fly_warp in
-          (match t.kinfo.Kinfo.dst_reg.(f.fly_op.Record.idx) with
+          let idx = fly_idx f in
+          (match t.kinfo.Kinfo.dst_reg.(idx) with
           | Some d ->
             w.Engine.pending.(d) <- w.Engine.pending.(d) - 1;
             w.Engine.pending_count <- w.Engine.pending_count - 1;
@@ -380,9 +386,9 @@ let writeback t =
           t.n_inflight <- t.n_inflight - 1;
           if f.fly_mshrs > 0 then
             w.Engine.mshr_used <- w.Engine.mshr_used - f.fly_mshrs;
-          if is_mem_class t f.fly_op.Record.idx then
+          if is_mem_class t idx then
             w.Engine.mem_inflight <- w.Engine.mem_inflight - 1;
-          t.engine.Engine.on_writeback ~cycle:t.cycle w f.fly_op
+          t.engine.Engine.on_writeback ~cycle:t.cycle w f.fly_pos
         end
         else begin
           if f.finish < !nwb then nwb := f.finish;
@@ -530,8 +536,8 @@ let try_issue_head t budget (w : Engine.wctx) =
   else
     match Queue.peek_opt w.Engine.ibuf with
     | None -> false
-    | Some (op, fetch_cycle) ->
-      let idx = op.Record.idx in
+    | Some (pos, fetch_cycle) ->
+      let idx = Record.idx w.Engine.trace pos in
       let kinfo = t.kinfo in
       let unit_class = kinfo.Kinfo.unit_of.(idx) in
       let structural_ok =
@@ -564,7 +570,7 @@ let try_issue_head t budget (w : Engine.wctx) =
         w.Engine.last_issued <- t.cycle;
         t.issue_slots_used <- t.issue_slots_used + 1;
         if t.issue_slots_used = 1 then t.active_pc <- idx;
-        (match t.engine.Engine.on_issue ~cycle:t.cycle w op with
+        (match t.engine.Engine.on_issue ~cycle:t.cycle w pos with
         | Engine.Drop ->
           (* Eliminated at issue (UV): consumed fetch/decode and an issue
              slot but no execution resources; the reuse-buffer value is
@@ -585,13 +591,14 @@ let try_issue_head t budget (w : Engine.wctx) =
             w.Engine.pending_count <- w.Engine.pending_count + 1;
             t.slots.(w.Engine.tb_slot).inflight_ops <-
               t.slots.(w.Engine.tb_slot).inflight_ops + 1;
-            add_inflight t w op ~finish:(t.cycle + 1)
+            add_inflight t w pos ~finish:(t.cycle + 1)
           | None -> ())
         | Engine.Execute ->
           stats.Stats.issued <- stats.Stats.issued + 1;
           pc_note t (fun p -> Obs.Pcstat.note_issue p ~pc:idx);
           stats.Stats.executed_threads <-
-            stats.Stats.executed_threads + popcount op.Record.active;
+            stats.Stats.executed_threads
+            + popcount (Record.active w.Engine.trace pos);
           emit t ~warp:w.Engine.wid Obs.Event.Issue;
           (* Register file reads and bank conflicts. *)
           let conflicts = ref 0 in
@@ -638,7 +645,8 @@ let try_issue_head t budget (w : Engine.wctx) =
                 else cfg.Config.warp_size
               in
               let sc =
-                Mem_model.shared_conflicts ~banks op.Record.accesses
+                Mem_model.shared_conflicts t.mem_scratch ~banks w.Engine.trace
+                  pos
               in
               stats.Stats.shared_accesses <-
                 stats.Stats.shared_accesses + 1 + sc;
@@ -658,11 +666,10 @@ let try_issue_head t budget (w : Engine.wctx) =
               budget.mem_left <- budget.mem_left - 1;
               stats.Stats.mem_ops <- stats.Stats.mem_ops + 1;
               emit t ~warp:w.Engine.wid Obs.Event.Mem_access;
-              let lines =
-                Mem_model.coalesce ~line_bytes:cfg.Config.l1_line
-                  op.Record.accesses
+              let nlines =
+                Mem_model.coalesce t.mem_scratch
+                  ~line_bytes:cfg.Config.l1_line w.Engine.trace pos
               in
-              let nlines = List.length lines in
               if kinfo.Kinfo.is_atomic.(idx) then begin
                 (* Atomics bypass the L1 and serialize at DRAM. *)
                 t.engine.Engine.on_store ~atomic:true w;
@@ -689,12 +696,12 @@ let try_issue_head t budget (w : Engine.wctx) =
               end
               else begin
                 stats.Stats.l1_accesses <- stats.Stats.l1_accesses + nlines;
-                let misses =
-                  List.fold_left
-                    (fun acc line ->
-                      if Mem_model.L1.access t.l1 line then acc else acc + 1)
-                    0 lines
-                in
+                let misses = ref 0 in
+                for k = 0 to nlines - 1 do
+                  let line = Mem_model.line t.mem_scratch k in
+                  if not (Mem_model.L1.access t.l1 line) then incr misses
+                done;
+                let misses = !misses in
                 stats.Stats.l1_misses <- stats.Stats.l1_misses + misses;
                 if misses = 0 then
                   t.cycle + cfg.Config.l1_lat + nlines - 1 + !conflicts
@@ -728,7 +735,7 @@ let try_issue_head t budget (w : Engine.wctx) =
           | None -> ());
           t.slots.(w.Engine.tb_slot).inflight_ops <-
             t.slots.(w.Engine.tb_slot).inflight_ops + 1;
-          add_inflight ~mshrs:!mshrs_alloc t w op ~finish;
+          add_inflight ~mshrs:!mshrs_alloc t w pos ~finish;
           (* Deferred DRAM: bind the queued request to the in-flight
              record just consed so [commit_epoch] can patch its real
              completion cycle in. *)
@@ -746,12 +753,14 @@ let issueable t wid =
   match t.warps.(wid) with
   | Some w when not w.Engine.at_barrier -> (
     match Queue.peek_opt w.Engine.ibuf with
-    | Some (op, fc) ->
+    | Some (pos, fc) ->
       fc < t.cycle
-      && scoreboard_ready w t.kinfo op.Record.idx
+      &&
+      let idx = Record.idx w.Engine.trace pos in
+      scoreboard_ready w t.kinfo idx
       (* structural memory gates (MSHR / replay port) hide the warp from
          the schedulers so GTO moves on instead of sticking to it *)
-      && not (mem_struct_blocked t w op.Record.idx)
+      && not (mem_struct_blocked t w idx)
     | None -> false)
   | _ -> false
 
@@ -825,12 +834,12 @@ let issue t =
    from static information; everything else is the engine's story. An
    occurrence the engine removed or skipped pre-fetch never reaches this
    point — those fates are recorded at the elimination site. *)
-let note_exec_fate t (w : Engine.wctx) (op : Record.op) =
-  let idx = op.Record.idx in
+let note_exec_fate t (w : Engine.wctx) pos =
+  let idx = Record.idx w.Engine.trace pos in
   if t.kinfo.Kinfo.marked_eligible.(idx) then
     let fate =
       if not t.kinfo.Kinfo.tb_redundant.(idx) then Obs.Ledger.Demoted_at_launch
-      else t.engine.Engine.exec_fate w op
+      else t.engine.Engine.exec_fate w pos
     in
     Obs.Ledger.note t.ledger ~pc:idx fate
 
@@ -867,17 +876,20 @@ let fetch t =
           (* Zero-cost stream removal (DAC-IDEAL). *)
           let continue_removing = ref true in
           while !continue_removing do
-            match Engine.next_op w with
-            | Some op when t.engine.Engine.remove_at_fetch w op ->
+            if
+              (not (Engine.warp_done w))
+              && t.engine.Engine.remove_at_fetch w w.Engine.fi
+            then begin
+              let idx = Record.idx w.Engine.trace w.Engine.fi in
               t.fetch_mutated <- true;
-              if t.kinfo.Kinfo.marked_eligible.(op.Record.idx) then
-                Obs.Ledger.note t.ledger ~pc:op.Record.idx Obs.Ledger.Skipped;
+              if t.kinfo.Kinfo.marked_eligible.(idx) then
+                Obs.Ledger.note t.ledger ~pc:idx Obs.Ledger.Skipped;
               w.Engine.fi <- w.Engine.fi + 1;
               t.stats.Stats.skipped_prefetch <-
                 t.stats.Stats.skipped_prefetch + 1;
-              pc_note t (fun p -> Obs.Pcstat.note_skip p ~pc:op.Record.idx);
+              pc_note t (fun p -> Obs.Pcstat.note_skip p ~pc:idx);
               emit t ~warp:w.Engine.wid Obs.Event.Skip_prefetch;
-              (match t.kinfo.Kinfo.shape.(op.Record.idx) with
+              match t.kinfo.Kinfo.shape.(idx) with
               | Darsie_compiler.Marking.Uniform ->
                 t.stats.Stats.elim_uniform <- t.stats.Stats.elim_uniform + 1
               | Darsie_compiler.Marking.Affine ->
@@ -885,23 +897,24 @@ let fetch t =
               | Darsie_compiler.Marking.Unstructured
               | Darsie_compiler.Marking.Varying ->
                 t.stats.Stats.elim_unstructured <-
-                  t.stats.Stats.elim_unstructured + 1)
-            | _ -> continue_removing := false
+                  t.stats.Stats.elim_unstructured + 1
+            end
+            else continue_removing := false
           done;
-          match Engine.next_op w with
-          | Some op ->
+          if not (Engine.warp_done w) then begin
+            let idx = Record.idx w.Engine.trace w.Engine.fi in
             if not !slot_used then begin
               slot_used := true;
               incr fetched
             end;
             t.fetch_mutated <- true;
-            let pc = Darsie_isa.Kernel.pc_of_index op.Record.idx in
+            let pc = Darsie_isa.Kernel.pc_of_index idx in
             if Mem_model.L1.access t.icache pc then begin
               t.stats.Stats.fetched <- t.stats.Stats.fetched + 1;
-              pc_note t (fun p -> Obs.Pcstat.note_fetch p ~pc:op.Record.idx);
+              pc_note t (fun p -> Obs.Pcstat.note_fetch p ~pc:idx);
               emit t ~warp:w.Engine.wid Obs.Event.Fetch;
-              note_exec_fate t w op;
-              Queue.push (op, t.cycle) w.Engine.ibuf;
+              note_exec_fate t w w.Engine.fi;
+              Queue.push (w.Engine.fi, t.cycle) w.Engine.ibuf;
               w.Engine.fi <- w.Engine.fi + 1;
               decr bundle_left;
               if
@@ -921,7 +934,7 @@ let fetch t =
               emit t ~warp:w.Engine.wid Obs.Event.Icache_miss;
               w.Engine.fetch_ready_at <- t.cycle + cfg.Config.icache_miss_lat
             end
-          | None -> ()
+          end
         done;
         if !slot_used then t.fetch_ptr <- (!ptr + 1) mod nw
       end
@@ -954,7 +967,7 @@ let soonest ~blamable inflight =
       if blamable f then begin
         incr n;
         if f.finish = max_int then placeholder := true;
-        let pc = f.fly_op.Record.idx in
+        let pc = fly_idx f in
         if
           f.finish < !best_fin
           || (f.finish = !best_fin && (pc < !best_pc || !best_pc < 0))
@@ -974,7 +987,7 @@ let nearest_inflight_pc ?w t =
   let blamable f =
     match w with
     | None -> true
-    | Some w -> f.fly_warp == w && is_mem_class t f.fly_op.Record.idx
+    | Some w -> f.fly_warp == w && is_mem_class t (fly_idx f)
   in
   let pc = soonest ~blamable t.inflight in
   if pc = deferred_pc && t.pcstat <> None then
@@ -991,11 +1004,11 @@ let charge_pc t bucket pc n =
 
 let head_pc (w : Engine.wctx) =
   match Queue.peek_opt w.Engine.ibuf with
-  | Some (op, _) -> op.Record.idx
+  | Some (pos, _) -> Record.idx w.Engine.trace pos
   | None -> -1
 
 let next_pc (w : Engine.wctx) =
-  match Engine.next_op w with Some op -> op.Record.idx | None -> -1
+  if Engine.warp_done w then -1 else Record.idx w.Engine.trace w.Engine.fi
 
 (* Classify one cycle into exactly one Attrib bucket, and name the static
    instruction blocking progress (-1 = the none-row). Called at the end
@@ -1048,9 +1061,11 @@ let classify_stall t =
         (match t.warps.(!i) with
         | Some w when (not (warp_drained w)) && not w.Engine.at_barrier -> (
           match Queue.peek_opt w.Engine.ibuf with
-          | Some (op, fc)
+          | Some (pos, fc)
             when fc < t.cycle
-                 && (not (scoreboard_ready w t.kinfo op.Record.idx))
+                 && (not
+                       (scoreboard_ready w t.kinfo
+                          (Record.idx w.Engine.trace pos)))
                  && w.Engine.mem_inflight > 0 ->
             mem_w := Some w
           | _ -> ())
@@ -1072,11 +1087,13 @@ let classify_stall t =
             (match t.warps.(!i) with
             | Some w when (not (warp_drained w)) && not w.Engine.at_barrier -> (
               match Queue.peek_opt w.Engine.ibuf with
-              | Some (op, fc)
+              | Some (pos, fc)
                 when fc < t.cycle
-                     && scoreboard_ready w t.kinfo op.Record.idx
-                     && mem_struct_blocked t w op.Record.idx ->
-                struct_w := Some (w, op.Record.idx)
+                     &&
+                     let idx = Record.idx w.Engine.trace pos in
+                     scoreboard_ready w t.kinfo idx
+                     && mem_struct_blocked t w idx ->
+                struct_w := Some (w, Record.idx w.Engine.trace pos)
               | _ -> ())
             | _ -> ());
             incr i
@@ -1245,9 +1262,11 @@ let next_event_cycle t =
                   (* issue side: every buffered head is aged by the next
                      cycle, so a scoreboard-ready head can issue then *)
                   (match Queue.peek_opt w.Engine.ibuf with
-                  | Some (op, _) ->
-                    if scoreboard_ready w t.kinfo op.Record.idx then
-                      note now1
+                  | Some (pos, _) ->
+                    if
+                      scoreboard_ready w t.kinfo
+                        (Record.idx w.Engine.trace pos)
+                    then note now1
                   | None -> ());
                   (* fetch side *)
                   if
@@ -1377,7 +1396,7 @@ let commit_epoch ~dram sms =
                 match req.dq_fly with
                 | Some fly ->
                   let issued = req.dq_now - t.cfg.Config.l1_lat in
-                  Obs.Pcstat.note_mem_latency p ~pc:fly.fly_op.Record.idx
+                  Obs.Pcstat.note_mem_latency p ~pc:(fly_idx fly)
                     ~lat:(fly.finish - issued)
                 | None -> ())
               reqs;

@@ -37,7 +37,7 @@ val create :
 val can_accept : t -> bool
 (** Has a free threadblock slot. *)
 
-val launch_tb : t -> tb_id:int -> traces:Darsie_trace.Record.op array array -> unit
+val launch_tb : t -> tb_id:int -> traces:Darsie_trace.Record.warp array -> unit
 (** Install a threadblock's per-warp traces into a free slot.
 
     @raise Invalid_argument when no slot is free. *)

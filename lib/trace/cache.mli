@@ -18,8 +18,17 @@
     Entries are stored under [dir/<digest>.trace] with an atomic
     write-then-rename, so concurrent writers (parallel suite workers, or
     two CLI processes) race benignly: both write identical bytes and the
-    last rename wins. A corrupt or truncated entry is treated as a miss
-    and regenerated. *)
+    last rename wins.
+
+    An entry (format 2) is a magic line naming the format version, a
+    small marshaled header — the launch, the warp size, the emulator
+    stats and each warp's two buffer lengths — and then every warp's
+    {!Record.warp} buffers, raw, in [tb].[warp] order: the file is the
+    trace's memory image, and a load reads each buffer straight into its
+    final [Bytes]. A corrupt or truncated entry is treated as a miss and
+    regenerated: lengths are checked against the bytes left in the file
+    before anything is allocated, and each buffer against
+    {!Record.well_formed}. *)
 
 type t
 (** A cache handle: the entry directory plus hit/miss/store counters.
@@ -61,8 +70,9 @@ val find : t -> key:string -> Record.t option
 
 val store : t -> key:string -> Record.t -> unit
 (** Persist an entry (atomic rename); failures to write — read-only
-    disk, no space — are silently ignored, the cache is an accelerator,
-    never a correctness dependency. *)
+    disk, no space, a directory in the way — are silently ignored and
+    leave no temp file behind: the cache is an accelerator, never a
+    correctness dependency. *)
 
 val generate :
   ?warp_size:int ->

@@ -202,6 +202,98 @@ let test_cache_corruption () =
       check_bool "with a usable trace" true
         (Darsie_trace.Record.total_ops a.Suite.trace > 0))
 
+(* The cache's failure paths, on BIN: each corrupt entry must read as a
+   miss and be regenerated into a trace that replays to the cycles of a
+   trace that never saw the cache. *)
+let cache_app = Darsie_workloads.Bin_opt.workload
+
+let darsie_cycles app =
+  (Suite.run_app app Suite.Darsie).Suite.gpu.Darsie_timing.Gpu.cycles
+
+let fresh_cycles = lazy (darsie_cycles (Suite.load_app cache_app))
+
+let entry_path cache =
+  let launch = (cache_app.W.prepare ~scale:1).W.launch in
+  let key = Darsie_trace.Cache.key ~name:cache_app.W.abbr ~scale:1 launch in
+  Filename.concat (Darsie_trace.Cache.dir cache) (key ^ ".trace")
+
+let test_cache_store_failure () =
+  with_tmp_cache (fun cache ->
+      (* the final path is a non-empty directory, so the rename fails *)
+      let final = entry_path cache in
+      Sys.mkdir (Darsie_trace.Cache.dir cache) 0o755;
+      Sys.mkdir final 0o755;
+      close_out (open_out (Filename.concat final "occupant"));
+      let a = Suite.load_app ~cache cache_app in
+      check_int "the blocked entry reads as a miss" 1
+        (Darsie_trace.Cache.misses cache);
+      check_int "nothing is stored" 0 (Darsie_trace.Cache.stores cache);
+      check_bool "no temp file is left behind" true
+        (Array.for_all
+           (fun e -> not (Filename.check_suffix e ".tmp"))
+           (Sys.readdir (Darsie_trace.Cache.dir cache)));
+      check_int "the trace replays identically" (Lazy.force fresh_cycles)
+        (darsie_cycles a))
+
+(* The v2 entry layout, as the cache writes it: the magic line, a
+   marshaled header whose last field holds each warp's (ops bytes,
+   addrs bytes), then the raw buffers; each op row starts with its
+   address offset, then its instruction index. *)
+type header =
+  Darsie_isa.Kernel.launch
+  * int
+  * Darsie_emu.Interp.stats
+  * (int * int) array array
+
+let header_end s =
+  let m = String.index s '\n' + 1 in
+  (m, m + Marshal.total_size (Bytes.unsafe_of_string s) m)
+
+let truncate_payload s =
+  let _, p = header_end s in
+  String.sub s 0 (p + ((String.length s - p) / 2))
+
+let length_past_eof s =
+  let m, p = header_end s in
+  let ((launch, ws, st, lens) : header) = Marshal.from_string s m in
+  let _, a = lens.(0).(0) in
+  lens.(0).(0) <- (1 lsl 32, a);
+  String.sub s 0 m
+  ^ Marshal.to_string ((launch, ws, st, lens) : header) []
+  ^ String.sub s p (String.length s - p)
+
+let idx_out_of_range s =
+  let _, p = header_end s in
+  let b = Bytes.of_string s in
+  Bytes.set_int32_le b (p + 4) 0x7FFF_FFFFl;
+  Bytes.to_string b
+
+let test_cache_corrupt_entries () =
+  List.iter
+    (fun (what, corrupt) ->
+      with_tmp_cache (fun cache ->
+          let _ = Suite.load_app ~cache cache_app in
+          let p = entry_path cache in
+          let s = In_channel.with_open_bin p In_channel.input_all in
+          Out_channel.with_open_bin p (fun oc ->
+              output_string oc (corrupt s));
+          let before = Gc.allocated_bytes () in
+          let a = Suite.load_app ~cache cache_app in
+          (* a 4 GB length must be refused before it is allocated *)
+          check_bool (what ^ ": nothing oversized is allocated") true
+            (Gc.allocated_bytes () -. before < 2e9);
+          check_int (what ^ ": reads as a miss") 2
+            (Darsie_trace.Cache.misses cache);
+          check_int (what ^ ": is regenerated") 2
+            (Darsie_trace.Cache.stores cache);
+          check_int (what ^ ": replays identically") (Lazy.force fresh_cycles)
+            (darsie_cycles a)))
+    [
+      ("truncated mid-payload", truncate_payload);
+      ("length past EOF", length_past_eof);
+      ("idx out of range", idx_out_of_range);
+    ]
+
 let () =
   Alcotest.run "parallel"
     [
@@ -221,5 +313,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_cache_roundtrip;
           Alcotest.test_case "content key" `Quick test_cache_key_content;
           Alcotest.test_case "corruption" `Quick test_cache_corruption;
+          Alcotest.test_case "failed store" `Quick test_cache_store_failure;
+          Alcotest.test_case "corrupt v2 entries" `Quick
+            test_cache_corrupt_entries;
         ] );
     ]

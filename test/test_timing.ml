@@ -14,34 +14,127 @@ let parse = Parser.parse_kernel
 (* Coalescer                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* One memory op touching [addrs], packed as a one-op warp trace. *)
+let mem_op addrs = Darsie_trace.Record.warp_of_ops [| (0, 0, 1, addrs) |]
+
+let coalesce ?(s = Mem_model.scratch ()) ~line_bytes addrs =
+  let n = Mem_model.coalesce s ~line_bytes (mem_op addrs) 0 in
+  List.init n (Mem_model.line s)
+
+let shared_conflicts ?(s = Mem_model.scratch ()) ~banks addrs =
+  Mem_model.shared_conflicts s ~banks (mem_op addrs) 0
+
 let test_coalesce () =
-  let lines = Mem_model.coalesce ~line_bytes:128 (Array.init 32 (fun i -> 4 * i)) in
+  let lines = coalesce ~line_bytes:128 (Array.init 32 (fun i -> 4 * i)) in
   check_int "consecutive words coalesce to one line" 1 (List.length lines);
   let strided =
-    Mem_model.coalesce ~line_bytes:128 (Array.init 32 (fun i -> 128 * i))
+    coalesce ~line_bytes:128 (Array.init 32 (fun i -> 128 * i))
   in
   check_int "stride-128 needs 32 transactions" 32 (List.length strided);
   let two =
-    Mem_model.coalesce ~line_bytes:128 (Array.init 32 (fun i -> 64 + (4 * i)))
+    coalesce ~line_bytes:128 (Array.init 32 (fun i -> 64 + (4 * i)))
   in
   check_int "misaligned spans two lines" 2 (List.length two);
-  check_int "empty" 0 (List.length (Mem_model.coalesce ~line_bytes:128 [||]));
+  check_int "empty" 0 (List.length (coalesce ~line_bytes:128 [||]));
   Alcotest.(check (list int))
     "first-touch order" [ 0; 128 ]
-    (Mem_model.coalesce ~line_bytes:128 [| 4; 200; 8; 132 |])
+    (coalesce ~line_bytes:128 [| 4; 200; 8; 132 |])
 
 let test_shared_conflicts () =
   check_int "broadcast is free" 0
-    (Mem_model.shared_conflicts ~banks:32 (Array.make 32 64));
+    (shared_conflicts ~banks:32 (Array.make 32 64));
   check_int "one word per bank" 0
-    (Mem_model.shared_conflicts ~banks:32 (Array.init 32 (fun i -> 4 * i)));
+    (shared_conflicts ~banks:32 (Array.init 32 (fun i -> 4 * i)));
   (* stride-2 words: 16 banks get 2 distinct words each *)
   check_int "2-way conflict" 1
-    (Mem_model.shared_conflicts ~banks:32 (Array.init 32 (fun i -> 8 * i)));
+    (shared_conflicts ~banks:32 (Array.init 32 (fun i -> 8 * i)));
   (* stride-32 words: all map to bank 0 *)
   check_int "32-way conflict" 31
-    (Mem_model.shared_conflicts ~banks:32 (Array.init 32 (fun i -> 128 * i)));
-  check_int "empty" 0 (Mem_model.shared_conflicts ~banks:32 [||])
+    (shared_conflicts ~banks:32 (Array.init 32 (fun i -> 128 * i)));
+  check_int "empty" 0 (shared_conflicts ~banks:32 [||])
+
+(* The reference model: the Hashtbl-and-list implementations the memory
+   model used before it read addresses in place. *)
+let reference_coalesce ~line_bytes accesses =
+  let seen = Hashtbl.create 32 in
+  let lines = ref [] in
+  Array.iter
+    (fun addr ->
+      let line = addr - (addr mod line_bytes) in
+      if not (Hashtbl.mem seen line) then begin
+        Hashtbl.add seen line ();
+        lines := line :: !lines
+      end)
+    accesses;
+  List.rev !lines
+
+let reference_shared_conflicts ~banks accesses =
+  if Array.length accesses = 0 then 0
+  else begin
+    let per_bank = Hashtbl.create 64 in
+    Array.iter
+      (fun addr ->
+        let word = addr / 4 in
+        let bank = word mod banks in
+        let words =
+          Option.value ~default:[] (Hashtbl.find_opt per_bank bank)
+        in
+        if not (List.mem word words) then
+          Hashtbl.replace per_bank bank (word :: words))
+      accesses;
+    Hashtbl.fold (fun _ ws acc -> max acc (List.length ws)) per_bank 1 - 1
+  end
+
+(* Up to 32 lane addresses drawn from a small pool (duplicates), all one
+   address (a broadcast), or anywhere in the 32-bit space; bank counts
+   1-40 cover smem_banks values other than the warp size. *)
+let accesses_gen =
+  QCheck.Gen.(
+    let u32 = map (fun x -> x land 0xFFFF_FFFF) int in
+    let lanes = int_range 0 32 in
+    oneof
+      [
+        (lanes >>= fun n ->
+         array_size (return 8) u32 >>= fun pool ->
+         array_size (return n) (oneofa pool) );
+        (lanes >>= fun n -> u32 >|= fun a -> Array.make n a);
+        (lanes >>= fun n -> array_size (return n) u32);
+        (lanes >>= fun n ->
+         u32 >>= fun base ->
+         array_size (return n) (int_range 0 4096) >|= fun offs ->
+         Array.map (fun o -> (base + o) land 0xFFFF_FFFF) offs );
+      ])
+
+let shared_scratch = Mem_model.scratch ()
+
+let qcheck_mem_model =
+  QCheck.Test.make ~name:"in-place coalescer and bank conflicts = reference"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b, l) ->
+         Printf.sprintf "banks=%d line=%d [%s]" b l
+           (String.concat ";" (Array.to_list (Array.map string_of_int a))))
+       QCheck.Gen.(
+         triple accesses_gen (int_range 1 40) (oneofl [ 32; 64; 128 ])))
+    (fun (addrs, banks, line_bytes) ->
+      coalesce ~s:shared_scratch ~line_bytes addrs
+      = reference_coalesce ~line_bytes addrs
+      && shared_conflicts ~s:shared_scratch ~banks addrs
+         = reference_shared_conflicts ~banks addrs)
+
+let test_mem_model_allocates_nothing () =
+  let w = mem_op (Array.init 32 (fun i -> 128 * i)) in
+  let s = Mem_model.scratch () in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Mem_model.coalesce s ~line_bytes:128 w 0);
+    ignore (Mem_model.shared_conflicts s ~banks:32 w 0)
+  done;
+  let words = Gc.minor_words () -. before in
+  (* the two float boxes of the Gc.minor_words calls are all there is *)
+  check_bool
+    (Printf.sprintf "1000 calls allocate nothing (%.0f minor words)" words)
+    true (words < 16.)
 
 (* ------------------------------------------------------------------ *)
 (* L1 and DRAM                                                         *)
@@ -398,7 +491,9 @@ let test_engine_remove_at_fetch () =
     {
       base with
       Engine.remove_at_fetch =
-        (fun _ op -> kinfo.Kinfo.unit_of.(op.Darsie_trace.Record.idx) = Kinfo.Alu);
+        (fun w i ->
+          kinfo.Kinfo.unit_of.(Darsie_trace.Record.idx w.Engine.trace i)
+          = Kinfo.Alu);
     }
   in
   let r = run_timing ~engine:remove_alu alu_kernel [||] in
@@ -413,6 +508,9 @@ let () =
         [
           Alcotest.test_case "coalescer" `Quick test_coalesce;
           Alcotest.test_case "shared conflicts" `Quick test_shared_conflicts;
+          QCheck_alcotest.to_alcotest qcheck_mem_model;
+          Alcotest.test_case "allocation-free" `Quick
+            test_mem_model_allocates_nothing;
           Alcotest.test_case "l1" `Quick test_l1;
           Alcotest.test_case "dram" `Quick test_dram;
         ] );

@@ -1,5 +1,6 @@
-(* Tests for the trace library: growable vectors, trace recording, and the
-   redundancy limit studies (Figure 1/2 machinery). *)
+(* Tests for the trace library: trace recording and its packed encoding,
+   the trace cache round trip, and the redundancy limit studies (Figure
+   1/2 machinery). *)
 
 open Darsie_isa
 open Darsie_trace
@@ -9,25 +10,6 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let parse = Parser.parse_kernel
-
-(* ------------------------------------------------------------------ *)
-(* Vec                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_vec () =
-  let v = Vec.create () in
-  check_int "empty" 0 (Vec.length v);
-  for i = 0 to 99 do
-    Vec.push v (i * i)
-  done;
-  check_int "length" 100 (Vec.length v);
-  check_int "get" 49 (Vec.get v 7);
-  check_int "to_array" 81 (Vec.to_array v).(9);
-  let sum = ref 0 in
-  Vec.iter (fun x -> sum := !sum + x) v;
-  check_int "iter sums" 328350 !sum;
-  Alcotest.check_raises "bounds" (Invalid_argument "Vec.get: out of bounds")
-    (fun () -> ignore (Vec.get v 100))
 
 (* ------------------------------------------------------------------ *)
 (* Pattern tests                                                       *)
@@ -98,18 +80,198 @@ let test_record_generate () =
   check_int "tbs" 2 (Record.num_tbs t);
   check_int "warps per tb" 2 (Record.warps_per_tb t);
   (* 1 mov + 3*(add,setp,bra) + st + exit = 12 per warp *)
-  check_int "ops per warp" 12 (Array.length t.Record.tbs.(0).(0));
+  check_int "ops per warp" 12 (Record.length t.Record.tbs.(0).(0));
   check_int "total" (12 * 4) (Record.total_ops t);
   (* occurrence numbers count loop iterations *)
   let w = t.Record.tbs.(1).(1) in
-  let adds = Array.to_list w |> List.filter (fun o -> o.Record.idx = 1) in
+  let ops = List.init (Record.length w) Fun.id in
+  let adds = List.filter (fun i -> Record.idx w i = 1) ops in
   Alcotest.(check (list int))
     "occurrences" [ 0; 1; 2 ]
-    (List.map (fun o -> o.Record.occ) adds);
+    (List.map (Record.occ w) adds);
   (* memory op carries addresses *)
-  let st = Array.to_list w |> List.find (fun o -> o.Record.idx = 4) in
-  check_int "store addresses" 32 (Array.length st.Record.accesses);
-  check_int "full mask recorded" ((1 lsl 32) - 1) st.Record.active
+  let st = List.find (fun i -> Record.idx w i = 4) ops in
+  check_int "store addresses" 32 (Record.naddrs w st);
+  check_int "full mask recorded" ((1 lsl 32) - 1) (Record.active w st)
+
+(* Every op of every warp, decoded through the accessors. *)
+let decode (w : Record.warp) =
+  List.init (Record.length w) (fun i ->
+      ( Record.idx w i,
+        Record.occ w i,
+        Record.active w i,
+        Array.init (Record.naddrs w i) (Record.addr w i) ))
+
+(* The emulator's own exec_record stream of one launch, per warp, in
+   order. *)
+let exec_stream (p : Darsie_workloads.Workload.prepared) =
+  let launch = p.Darsie_workloads.Workload.launch in
+  let per =
+    Array.init (Kernel.num_blocks launch) (fun _ ->
+        Array.make (Kernel.warps_per_block launch ~warp_size:32) [])
+  in
+  let on_exec (r : Darsie_emu.Interp.exec_record) =
+    let open Darsie_emu.Interp in
+    per.(r.tb).(r.warp) <-
+      (r.inst_index, r.occ, r.active, r.accesses) :: per.(r.tb).(r.warp)
+  in
+  ignore
+    (Darsie_emu.Interp.run ~on_exec p.Darsie_workloads.Workload.mem launch);
+  Array.map (Array.map List.rev) per
+
+(* Loads near the top of the 32-bit space with all 32 lanes active: the
+   mask's top bit and addresses >= 2^31 must decode unsigned. Loads of
+   unbacked memory read zero, so nothing is allocated up there. *)
+let high_kernel () =
+  let k =
+    parse
+      {|
+.kernel hi
+.params 1
+  mul.lo.u32 %r1, %tid.x, 4;
+  add.u32 %r2, %r1, %param0;
+  ld.global.u32 %r3, [%r2+0];
+  setp.lt.u32 %p0, %tid.x, 7;
+@%p0 ld.global.u32 %r4, [%r2+0];
+  exit;
+|}
+  in
+  {
+    Darsie_workloads.Workload.mem = Darsie_emu.Memory.create ();
+    launch =
+      Kernel.launch k ~grid:(Kernel.dim3 2) ~block:(Kernel.dim3 64)
+        ~params:[| 0xFFFF_FF00 |];
+    verify = (fun _ -> Ok ());
+  }
+
+(* A fixed set of generated kernels (both campaign seeds' first
+   kernels) plus the hand kernel above. *)
+let roundtrip_subjects () =
+  let generated =
+    List.concat_map
+      (fun seed ->
+        List.filter_map
+          (fun index ->
+            let _, plan = Darsie_fuzz.Gen.generate ~seed ~index in
+            match Darsie_fuzz.Plan.build plan with
+            | Ok case ->
+              Some
+                ( Printf.sprintf "gen %d/%d" seed index,
+                  fun () -> Darsie_fuzz.Plan.prepared case )
+            | Error _ -> None)
+          (List.init 12 Fun.id))
+      [ 0; 1 ]
+  in
+  ("high addresses", high_kernel) :: generated
+
+let test_record_roundtrip () =
+  List.iter
+    (fun (name, fresh) ->
+      let expected = exec_stream (fresh ()) in
+      let p = fresh () in
+      let t =
+        Record.generate p.Darsie_workloads.Workload.mem
+          p.Darsie_workloads.Workload.launch
+      in
+      check_int (name ^ ": tbs") (Array.length expected) (Record.num_tbs t);
+      Array.iteri
+        (fun tb warps ->
+          Array.iteri
+            (fun wi ops ->
+              check_bool
+                (Printf.sprintf "%s: tb %d warp %d decodes to the exec stream"
+                   name tb wi)
+                true
+                (decode t.Record.tbs.(tb).(wi) = ops))
+            warps)
+        expected)
+    (roundtrip_subjects ());
+  let p = high_kernel () in
+  let t =
+    Record.generate p.Darsie_workloads.Workload.mem
+      p.Darsie_workloads.Workload.launch
+  in
+  let w = t.Record.tbs.(1).(1) in
+  check_int "lane 31 active decodes unsigned" 0xFFFF_FFFF (Record.active w 2);
+  check_int "address >= 2^31 decodes unsigned" (0xFFFF_FF00 + (4 * 63))
+    (Record.addr w 2 31);
+  check_int "guarded load: lanes 0-6 of warp 0 touch memory" 7
+    (Record.naddrs t.Record.tbs.(1).(0) 4);
+  check_int "guarded load: no lane of warp 1 does" 0 (Record.naddrs w 4)
+
+let test_record_rejects () =
+  Alcotest.check_raises "warp size above 32"
+    (Invalid_argument "Record.generate: warp size 64 exceeds the 32-bit mask")
+    (fun () ->
+      let p = high_kernel () in
+      ignore
+        (Record.generate ~warp_size:64 p.Darsie_workloads.Workload.mem
+           p.Darsie_workloads.Workload.launch));
+  Alcotest.check_raises "address above 2^32"
+    (Invalid_argument "Record: address 4294967296 does not fit in 32 bits")
+    (fun () -> ignore (Record.warp_of_ops [| (0, 0, 1, [| 1 lsl 32 |]) |]));
+  Alcotest.check_raises "negative address"
+    (Invalid_argument "Record: address -4 does not fit in 32 bits")
+    (fun () -> ignore (Record.warp_of_ops [| (0, 0, 1, [| -4 |]) |]))
+
+let test_cache_store_find () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "darsie-trace-test-%d" (Unix.getpid ()))
+  in
+  let cleanup () =
+    if Sys.file_exists dir then begin
+      Array.iter
+        (fun e -> Sys.remove (Filename.concat dir e))
+        (Sys.readdir dir);
+      Sys.rmdir dir
+    end
+  in
+  cleanup ();
+  Fun.protect ~finally:cleanup (fun () ->
+      let cache = Cache.create ~dir () in
+      List.iter
+        (fun (name, fresh) ->
+          let p = fresh () in
+          let launch = p.Darsie_workloads.Workload.launch in
+          let t = Record.generate p.Darsie_workloads.Workload.mem launch in
+          let key = Cache.key ~name ~scale:1 launch in
+          Cache.store cache ~key t;
+          match Cache.find cache ~key with
+          | Some t' ->
+            check_bool (name ^ ": find returns the stored trace") true (t' = t)
+          | None -> Alcotest.fail (name ^ ": stored trace not found"))
+        (List.filteri (fun i _ -> i < 4) (roundtrip_subjects ()));
+      check_int "every find hit" 4 (Cache.hits cache))
+
+(* The packed layout's promise, independent of the host: MM@1's trace
+   costs 16 B per op plus 4 B per address, and a small constant per warp
+   for the record, the two buffer headers, their padding, the sentinel
+   and the per-TB array slot. *)
+let test_footprint () =
+  let p =
+    Darsie_workloads.Matmul.workload.Darsie_workloads.Workload.prepare ~scale:1
+  in
+  let t =
+    Record.generate p.Darsie_workloads.Workload.mem
+      p.Darsie_workloads.Workload.launch
+  in
+  let ops = Record.total_ops t and addrs = ref 0 and warps = ref 0 in
+  Array.iter
+    (Array.iter (fun w ->
+         incr warps;
+         for i = 0 to Record.length w - 1 do
+           addrs := !addrs + Record.naddrs w i
+         done))
+    t.Record.tbs;
+  let bytes =
+    Obj.reachable_words (Obj.repr t.Record.tbs) * (Sys.word_size / 8)
+  in
+  let bound = (16 * ops) + (4 * !addrs) + (96 * !warps) in
+  check_bool
+    (Printf.sprintf "%d B for %d ops, %d addresses, %d warps (bound %d B)"
+       bytes ops !addrs !warps bound)
+    true (bytes <= bound)
 
 (* ------------------------------------------------------------------ *)
 (* Limit study on crafted kernels                                      *)
@@ -272,14 +434,20 @@ let test_limit_atomics_excluded () =
 let () =
   Alcotest.run "darsie_trace"
     [
-      ("vec", [ Alcotest.test_case "basics" `Quick test_vec ]);
       ( "patterns",
         [
           Alcotest.test_case "classification" `Quick test_vector_patterns;
           QCheck_alcotest.to_alcotest qcheck_affine;
         ] );
       ( "record",
-        [ Alcotest.test_case "generation" `Quick test_record_generate ] );
+        [
+          Alcotest.test_case "generation" `Quick test_record_generate;
+          Alcotest.test_case "round trip" `Quick test_record_roundtrip;
+          Alcotest.test_case "out-of-range fields" `Quick test_record_rejects;
+          Alcotest.test_case "cache store then find" `Quick
+            test_cache_store_find;
+          Alcotest.test_case "footprint" `Quick test_footprint;
+        ] );
       ( "limit-study",
         [
           Alcotest.test_case "uniform kernel" `Quick test_limit_uniform_kernel;
