@@ -12,7 +12,8 @@ type exec_record = {
   active : int;
   operands : Value.t array array;
   dst_values : Value.t array option;
-  accesses : int array;
+  addrs : int array;
+  naddrs : int;
 }
 
 type stats = { warp_insts : int; thread_insts : int; max_stack_depth : int }
@@ -68,9 +69,12 @@ let error_message = function
       executed bound
   | Exec_fault m -> m
 
+(* Set bits of a lane mask (at most 62 bits wide), in constant time. *)
 let popcount m =
-  let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
-  go m 0
+  let m = m - ((m lsr 1) land 0x1555_5555_5555_5555) in
+  let m = (m land 0x3333_3333_3333_3333) + ((m lsr 2) land 0x3333_3333_3333_3333) in
+  let m = (m + (m lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (m * 0x0101_0101_0101_0101) lsr 56
 
 (* Per-warp architectural state. *)
 type warp_state = {
@@ -95,33 +99,22 @@ type tb_ctx = {
   warps : warp_state array;
 }
 
-let sreg_value ctx ws lane (s : Instr.sreg) =
-  let bx, by, bz = ctx.ctaid in
-  let bd = ctx.launch.Kernel.block_dim and gd = ctx.launch.Kernel.grid_dim in
-  let axis_of (x, y, z) = function Instr.X -> x | Instr.Y -> y | Instr.Z -> z in
-  match s with
-  | Instr.Tid a ->
-    axis_of (ws.tid_x.(lane), ws.tid_y.(lane), ws.tid_z.(lane)) a
-  | Instr.Ntid a -> axis_of (bd.Kernel.x, bd.Kernel.y, bd.Kernel.z) a
-  | Instr.Ctaid a -> axis_of (bx, by, bz) a
-  | Instr.Nctaid a -> axis_of (gd.Kernel.x, gd.Kernel.y, gd.Kernel.z) a
+let shared_fault what addr =
+  fault "shared %s out of bounds or misaligned: 0x%x" what addr
 
-let operand_value ctx ws lane (op : Instr.operand) =
-  match op with
-  | Instr.Reg r -> ws.regs.(r).(lane)
-  | Instr.Imm v -> v
-  | Instr.Sreg s -> Value.of_signed (sreg_value ctx ws lane s)
-  | Instr.Param i -> ctx.launch.Kernel.params.(i)
-
-let shared_load ctx addr =
+(* Inlined into the lane loops, with the fault kept out of line. *)
+let[@inline] shared_load ctx addr =
   if addr < 0 || addr + 4 > Bytes.length ctx.shared || addr land 3 <> 0 then
-    fault "shared load out of bounds or misaligned: 0x%x" addr;
-  Value.of_int32 (Bytes.get_int32_le ctx.shared addr)
+    shared_fault "load" addr;
+  Int32.to_int (Bytes.get_int32_le ctx.shared addr) land 0xFFFF_FFFF
 
-let shared_store ctx addr v =
+let[@inline] shared_store ctx addr v =
   if addr < 0 || addr + 4 > Bytes.length ctx.shared || addr land 3 <> 0 then
-    fault "shared store out of bounds or misaligned: 0x%x" addr;
-  Bytes.set_int32_le ctx.shared addr (Value.to_int32 v)
+    shared_fault "store" addr;
+  Bytes.set_int32_le ctx.shared addr (Int32.of_int v)
+
+let dim_axis (d : Kernel.dim3) (a : Instr.axis) =
+  match a with Instr.X -> d.Kernel.x | Instr.Y -> d.Kernel.y | Instr.Z -> d.Kernel.z
 
 let eval_binop (op : Instr.binop) a b =
   match op with
@@ -168,21 +161,23 @@ let eval_unop (op : Instr.unop) a =
   | Instr.Cvt_u2f -> Value.cvt_u2f a
   | Instr.Cvt_f2i -> Value.cvt_f2i a
 
+let cmp_holds (cmp : Instr.cmp) c =
+  match cmp with
+  | Instr.Eq -> c = 0
+  | Instr.Ne -> c <> 0
+  | Instr.Lt -> c < 0
+  | Instr.Le -> c <= 0
+  | Instr.Gt -> c > 0
+  | Instr.Ge -> c >= 0
+
 let eval_cmp (kind : Instr.cmp_kind) (cmp : Instr.cmp) a b =
-  let test c =
-    match cmp with
-    | Instr.Eq -> c = 0
-    | Instr.Ne -> c <> 0
-    | Instr.Lt -> c < 0
-    | Instr.Le -> c <= 0
-    | Instr.Gt -> c > 0
-    | Instr.Ge -> c >= 0
-  in
   match kind with
-  | Instr.Scmp -> test (Value.cmp_s a b)
-  | Instr.Ucmp -> test (Value.cmp_u a b)
+  | Instr.Scmp -> cmp_holds cmp (Value.cmp_s a b)
+  | Instr.Ucmp -> cmp_holds cmp (Value.cmp_u a b)
   | Instr.Fcmp -> (
-    match Value.cmp_f a b with None -> cmp = Instr.Ne | Some c -> test c)
+    match Value.cmp_f a b with
+    | None -> cmp = Instr.Ne
+    | Some c -> cmp_holds cmp c)
 
 let eval_atom (op : Instr.atom_op) old v cas_cmp =
   match op with
@@ -259,6 +254,44 @@ let run ?(config = default_config) ?on_exec ?(max_warp_insts = 50_000_000)
            })
          ctx.warps)
   in
+  (* Per-run scratch the step reuses, so executing an instruction
+     allocates nothing: one lane row per source slot for operands that
+     are the same in every lane (immediates, parameters, block and grid
+     special registers) with the value it holds, and the lane addresses
+     of the memory instruction being executed. *)
+  let const_rows = Array.init 3 (fun _ -> Array.make ws_size Value.zero) in
+  let const_vals = Array.make 3 Value.zero in
+  let addrs = Array.make ws_size 0 in
+  let all_lanes = (1 lsl ws_size) - 1 in
+  let capture = config.capture_operands && Option.is_some on_exec in
+  let uniform k v =
+    if const_vals.(k) <> v then begin
+      Array.fill const_rows.(k) 0 ws_size v;
+      const_vals.(k) <- v
+    end;
+    const_rows.(k)
+  in
+  let bd = launch.Kernel.block_dim and gd = launch.Kernel.grid_dim in
+  (* Source operand [op] of slot [k] as a lane row: the register itself,
+     the warp's thread-index row, or slot [k]'s constant row. A row may
+     be the destination register, so a lane loop reads each lane's
+     sources before writing that lane. *)
+  let row ctx ws k (op : Instr.operand) =
+    match op with
+    | Instr.Reg r -> ws.regs.(r)
+    | Instr.Imm v -> uniform k v
+    | Instr.Param i -> uniform k launch.Kernel.params.(i)
+    | Instr.Sreg (Instr.Tid Instr.X) -> ws.tid_x
+    | Instr.Sreg (Instr.Tid Instr.Y) -> ws.tid_y
+    | Instr.Sreg (Instr.Tid Instr.Z) -> ws.tid_z
+    | Instr.Sreg (Instr.Ntid a) -> uniform k (Value.of_signed (dim_axis bd a))
+    | Instr.Sreg (Instr.Nctaid a) -> uniform k (Value.of_signed (dim_axis gd a))
+    | Instr.Sreg (Instr.Ctaid a) ->
+      let bx, by, bz = ctx.ctaid in
+      uniform k
+        (Value.of_signed
+           (match a with Instr.X -> bx | Instr.Y -> by | Instr.Z -> bz))
+  in
   let run_tb tb_index =
     let ctx =
       {
@@ -322,81 +355,115 @@ let run ?(config = default_config) ?on_exec ?(max_warp_insts = 50_000_000)
           match inst.Instr.guard with
           | None -> mask
           | Some (sense, p) ->
+            let pr = ws.preds.(p) in
             let m = ref 0 in
             for lane = 0 to ws_size - 1 do
-              if
-                mask land (1 lsl lane) <> 0
-                && ws.preds.(p).(lane) = sense
-              then m := !m lor (1 lsl lane)
+              if mask land (1 lsl lane) <> 0 && pr.(lane) = sense then
+                m := !m lor (1 lsl lane)
             done;
             !m
         in
-        let opv lane op = operand_value ctx ws lane op in
-        let each_exec_lane f =
-          for lane = 0 to ws_size - 1 do
-            if guard_mask land (1 lsl lane) <> 0 then f lane
-          done
+        (* Captured before the body runs: the values the instruction
+           reads, not what it leaves behind. *)
+        let operands =
+          if capture then
+            Array.of_list
+              (List.mapi
+                 (fun k op -> Array.copy (row ctx ws k op))
+                 (Instr.operands inst))
+          else [||]
         in
-        let accesses = ref [||] in
+        (* When every lane executes, the lane loops skip the mask test. *)
+        let all_on = guard_mask = all_lanes in
+        let naddrs = ref 0 in
         let continue_ = ref true in
         (match inst.Instr.body with
         | Instr.Bin (op, d, a, b) ->
-          each_exec_lane (fun lane ->
-              ws.regs.(d).(lane) <- eval_binop op (opv lane a) (opv lane b));
+          let a = row ctx ws 0 a and b = row ctx ws 1 b and dst = ws.regs.(d) in
+          for lane = 0 to ws_size - 1 do
+            if all_on || guard_mask land (1 lsl lane) <> 0 then
+              dst.(lane) <- eval_binop op a.(lane) b.(lane)
+          done;
           Simt_stack.advance ws.stack (pc + 1)
         | Instr.Un (op, d, a) ->
-          each_exec_lane (fun lane ->
-              ws.regs.(d).(lane) <- eval_unop op (opv lane a));
+          let a = row ctx ws 0 a and dst = ws.regs.(d) in
+          for lane = 0 to ws_size - 1 do
+            if all_on || guard_mask land (1 lsl lane) <> 0 then
+              dst.(lane) <- eval_unop op a.(lane)
+          done;
           Simt_stack.advance ws.stack (pc + 1)
         | Instr.Tern (op, d, a, b, c) ->
-          each_exec_lane (fun lane ->
-              let va = opv lane a and vb = opv lane b and vc = opv lane c in
-              ws.regs.(d).(lane) <-
+          let a = row ctx ws 0 a and b = row ctx ws 1 b and c = row ctx ws 2 c in
+          let dst = ws.regs.(d) in
+          for lane = 0 to ws_size - 1 do
+            if all_on || guard_mask land (1 lsl lane) <> 0 then
+              dst.(lane) <-
                 (match op with
-                | Instr.Mad -> Value.add (Value.mul va vb) vc
-                | Instr.Fma -> Value.ffma va vb vc));
+                | Instr.Mad -> Value.add (Value.mul a.(lane) b.(lane)) c.(lane)
+                | Instr.Fma -> Value.ffma a.(lane) b.(lane) c.(lane))
+          done;
           Simt_stack.advance ws.stack (pc + 1)
         | Instr.Setp (kind, cmp, p, a, b) ->
-          each_exec_lane (fun lane ->
-              ws.preds.(p).(lane) <- eval_cmp kind cmp (opv lane a) (opv lane b));
+          let a = row ctx ws 0 a and b = row ctx ws 1 b and dst = ws.preds.(p) in
+          for lane = 0 to ws_size - 1 do
+            if all_on || guard_mask land (1 lsl lane) <> 0 then
+              dst.(lane) <- eval_cmp kind cmp a.(lane) b.(lane)
+          done;
           Simt_stack.advance ws.stack (pc + 1)
         | Instr.Selp (d, a, b, p) ->
-          each_exec_lane (fun lane ->
-              ws.regs.(d).(lane) <-
-                (if ws.preds.(p).(lane) then opv lane a else opv lane b));
+          let a = row ctx ws 0 a and b = row ctx ws 1 b and sel = ws.preds.(p) in
+          let dst = ws.regs.(d) in
+          for lane = 0 to ws_size - 1 do
+            if all_on || guard_mask land (1 lsl lane) <> 0 then
+              dst.(lane) <- (if sel.(lane) then a.(lane) else b.(lane))
+          done;
           Simt_stack.advance ws.stack (pc + 1)
         | Instr.Ld (space, d, base, off) ->
-          let addrs = ref [] in
-          each_exec_lane (fun lane ->
-              let addr = Value.truncate (Value.add (opv lane base) (Value.of_signed off)) in
-              addrs := addr :: !addrs;
-              ws.regs.(d).(lane) <-
+          let base = row ctx ws 0 base and dst = ws.regs.(d) in
+          let off = Value.of_signed off in
+          for lane = 0 to ws_size - 1 do
+            if all_on || guard_mask land (1 lsl lane) <> 0 then begin
+              (* [Value.add] written out: a call into another library is
+                 never inlined, and this one would run per lane. *)
+              let addr = (base.(lane) + off) land 0xFFFF_FFFF in
+              addrs.(!naddrs) <- addr;
+              incr naddrs;
+              dst.(lane) <-
                 (match space with
                 | Instr.Global -> Memory.load_u32 mem addr
-                | Instr.Shared -> shared_load ctx addr));
-          accesses := Array.of_list (List.rev !addrs);
+                | Instr.Shared -> shared_load ctx addr)
+            end
+          done;
           Simt_stack.advance ws.stack (pc + 1)
         | Instr.St (space, base, off, v) ->
-          let addrs = ref [] in
-          each_exec_lane (fun lane ->
-              let addr = Value.truncate (Value.add (opv lane base) (Value.of_signed off)) in
-              addrs := addr :: !addrs;
-              let value = opv lane v in
+          let base = row ctx ws 0 base and v = row ctx ws 1 v in
+          let off = Value.of_signed off in
+          for lane = 0 to ws_size - 1 do
+            if all_on || guard_mask land (1 lsl lane) <> 0 then begin
+              let addr = (base.(lane) + off) land 0xFFFF_FFFF in
+              addrs.(!naddrs) <- addr;
+              incr naddrs;
               match space with
-              | Instr.Global -> Memory.store_u32 mem addr value
-              | Instr.Shared -> shared_store ctx addr value);
-          accesses := Array.of_list (List.rev !addrs);
+              | Instr.Global -> Memory.store_u32 mem addr v.(lane)
+              | Instr.Shared -> shared_store ctx addr v.(lane)
+            end
+          done;
           Simt_stack.advance ws.stack (pc + 1)
-        | Instr.Atom (op, d, addr_op, v) ->
-          let addrs = ref [] in
-          each_exec_lane (fun lane ->
-              let addr = opv lane addr_op in
-              addrs := addr :: !addrs;
+        | Instr.Atom (op, d, a, v) ->
+          (* Lane by lane: each lane's read-modify-write sees the earlier
+             lanes' updates, and the compare value of a CAS is the
+             destination register before that lane overwrites it. *)
+          let a = row ctx ws 0 a and v = row ctx ws 1 v and dst = ws.regs.(d) in
+          for lane = 0 to ws_size - 1 do
+            if all_on || guard_mask land (1 lsl lane) <> 0 then begin
+              let addr = a.(lane) in
+              addrs.(!naddrs) <- addr;
+              incr naddrs;
               let old = Memory.load_u32 mem addr in
-              let cas_cmp = ws.regs.(d).(lane) in
-              Memory.store_u32 mem addr (eval_atom op old (opv lane v) cas_cmp);
-              ws.regs.(d).(lane) <- old);
-          accesses := Array.of_list (List.rev !addrs);
+              Memory.store_u32 mem addr (eval_atom op old v.(lane) dst.(lane));
+              dst.(lane) <- old
+            end
+          done;
           Simt_stack.advance ws.stack (pc + 1)
         | Instr.Bra target ->
           let taken = guard_mask in
@@ -423,17 +490,8 @@ let run ?(config = default_config) ?on_exec ?(max_warp_insts = 50_000_000)
         (match on_exec with
         | None -> ()
         | Some f ->
-          let operands =
-            if config.capture_operands then
-              Array.of_list
-                (List.map
-                   (fun op ->
-                     Array.init ws_size (fun lane -> operand_value ctx ws lane op))
-                   (Instr.operands inst))
-            else [||]
-          in
           let dst_values =
-            if config.capture_operands then
+            if capture then
               Option.map (fun d -> Array.copy ws.regs.(d)) (Instr.dst_reg inst)
             else None
           in
@@ -446,7 +504,8 @@ let run ?(config = default_config) ?on_exec ?(max_warp_insts = 50_000_000)
               active = mask;
               operands;
               dst_values;
-              accesses = !accesses;
+              addrs;
+              naddrs = !naddrs;
             });
         (* A Force_dst interception overwrites the destination after the
            observer saw the recomputed values, modelling a (possibly

@@ -29,14 +29,22 @@ type exec_record = {
   occ : int;  (** how many times this warp has executed this PC before *)
   active : int;  (** SIMT active mask when the instruction issued *)
   operands : Darsie_isa.Value.t array array;
-      (** per source operand, per lane (length [warp_size]); empty unless
-          [capture_operands] *)
+      (** per source operand in {!Darsie_isa.Instr.operands} order, per
+          lane (length [warp_size]): the values before the instruction
+          executed, so an operand that is also the destination (or a
+          CAS's compare register) reads its old value; empty unless
+          [capture_operands]. Fresh arrays the callback may keep. *)
   dst_values : Darsie_isa.Value.t array option;
       (** the destination vector register after the write; [None] when the
-          instruction writes no vector register or capture is off *)
-  accesses : int array;
-      (** byte addresses of the active lanes for memory instructions, in
-          lane order; empty otherwise *)
+          instruction writes no vector register or capture is off. A fresh
+          array the callback may keep. *)
+  addrs : int array;
+      (** a view: the first [naddrs] entries are the byte addresses of the
+          lanes that executed a memory instruction, in lane order. The
+          array is the emulator's scratch buffer, overwritten by the next
+          memory instruction: the callback must copy what it keeps and
+          never write to it. *)
+  naddrs : int;  (** 0 for instructions that are not loads, stores or atomics *)
 }
 
 type stats = {

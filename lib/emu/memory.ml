@@ -21,15 +21,21 @@ let ensure t upto =
     t.data <- bigger
   end
 
+(* Words are read and written with the stdlib's (inlined) [Bytes] and
+   [Int32] primitives: going through [Value.of_int32]/[to_int32], a call
+   into another library, would box an [int32] per access. *)
+let read_word data addr =
+  if addr + 4 > Bytes.length data then Value.zero
+  else Int32.to_int (Bytes.get_int32_le data addr) land 0xFFFF_FFFF
+
 let load_u32 t addr =
   check t addr;
-  if addr + 4 > Bytes.length t.data then Value.zero
-  else Value.of_int32 (Bytes.get_int32_le t.data addr)
+  read_word t.data addr
 
 let store_u32 t addr v =
   check t addr;
   ensure t (addr + 4);
-  Bytes.set_int32_le t.data addr (Value.to_int32 v)
+  Bytes.set_int32_le t.data addr (Int32.of_int v)
 
 let load_f32 t addr = Value.to_float (load_u32 t addr)
 
@@ -57,15 +63,11 @@ let extent t = Bytes.length t.data
 
 let diff ?(limit = 32) a b =
   let words = (max (extent a) (extent b)) / 4 in
-  let read t addr =
-    if addr + 4 > Bytes.length t.data then Value.zero
-    else Value.of_int32 (Bytes.get_int32_le t.data addr)
-  in
   let out = ref [] and n = ref 0 in
   let w = ref 0 in
   while !n < limit && !w < words do
     let addr = 4 * !w in
-    let va = read a addr and vb = read b addr in
+    let va = read_word a.data addr and vb = read_word b.data addr in
     if va <> vb then begin
       out := (addr, va, vb) :: !out;
       incr n

@@ -16,15 +16,12 @@ let pc t = (top t).pc
 
 let finished t = t.stack = []
 
-let reconverge_if_needed t =
-  let rec pop () =
-    match t.stack with
-    | e :: rest when e.reconv >= 0 && e.pc = e.reconv ->
-      t.stack <- rest;
-      pop ()
-    | _ -> ()
-  in
-  pop ()
+let rec reconverge_if_needed t =
+  match t.stack with
+  | e :: rest when e.reconv >= 0 && e.pc = e.reconv ->
+    t.stack <- rest;
+    reconverge_if_needed t
+  | _ -> ()
 
 let advance t pc = (top t).pc <- pc
 

@@ -6,19 +6,17 @@ let truncate x = x land mask
 
 let zero = 0
 
-let of_int32 x = Int32.to_int x land mask
+let[@inline] of_int32 x = Int32.to_int x land mask
 
-let to_int32 x = Int32.of_int x
+let[@inline] to_int32 x = Int32.of_int x
 
 let to_signed x = if x land 0x80000000 <> 0 then x - 0x100000000 else x
 
 let of_signed x = x land mask
 
-let round_f32 f = Int32.float_of_bits (Int32.bits_of_float f)
+let[@inline] of_float f = of_int32 (Int32.bits_of_float f)
 
-let of_float f = of_int32 (Int32.bits_of_float f)
-
-let to_float x = Int32.float_of_bits (to_int32 x)
+let[@inline] to_float x = Int32.float_of_bits (to_int32 x)
 
 let add a b = (a + b) land mask
 
@@ -80,20 +78,20 @@ let shr_s a b =
   let s = to_signed a in
   if b land mask >= 32 then of_signed (s asr 62) else of_signed (s asr b)
 
-let f2 op a b = of_float (round_f32 (op (to_float a) (to_float b)))
+(* Each float op computes in double and rounds once, to single
+   precision, in [of_float]. It is written out in full, not passed to a
+   higher-order helper: with [to_float] and [of_float] inlined, the
+   intermediate floats stay unboxed and the op allocates nothing. *)
+let fadd a b = of_float (to_float a +. to_float b)
 
-let f1 op a = of_float (round_f32 (op (to_float a)))
+let fsub a b = of_float (to_float a -. to_float b)
 
-let fadd = f2 ( +. )
+let fmul a b = of_float (to_float a *. to_float b)
 
-let fsub = f2 ( -. )
-
-let fmul = f2 ( *. )
-
-let fdiv = f2 ( /. )
+let fdiv a b = of_float (to_float a /. to_float b)
 
 let ffma a b c =
-  of_float (round_f32 ((to_float a *. to_float b) +. to_float c))
+  of_float ((to_float a *. to_float b) +. to_float c)
 
 let fmin a b =
   let x = to_float a and y = to_float b in
@@ -107,21 +105,21 @@ let fneg a = a lxor 0x80000000
 
 let fabs a = a land 0x7FFFFFFF
 
-let fsqrt = f1 sqrt
+let fsqrt a = of_float (sqrt (to_float a))
 
-let frcp = f1 (fun x -> 1.0 /. x)
+let frcp a = of_float (1.0 /. to_float a)
 
-let fexp2 = f1 (fun x -> Float.exp2 x)
+let fexp2 a = of_float (Float.exp2 (to_float a))
 
-let flog2 = f1 (fun x -> Float.log2 x)
+let flog2 a = of_float (Float.log2 (to_float a))
 
-let fsin = f1 sin
+let fsin a = of_float (sin (to_float a))
 
-let fcos = f1 cos
+let fcos a = of_float (cos (to_float a))
 
-let cvt_i2f a = of_float (round_f32 (float_of_int (to_signed a)))
+let cvt_i2f a = of_float (float_of_int (to_signed a))
 
-let cvt_u2f a = of_float (round_f32 (float_of_int a))
+let cvt_u2f a = of_float (float_of_int a)
 
 let cvt_f2i a =
   let f = to_float a in
@@ -134,8 +132,13 @@ let cmp_s a b = compare (to_signed a) (to_signed b)
 
 let cmp_u a b = compare a b
 
+(* The three results are constant blocks, so the comparison allocates
+   nothing. *)
 let cmp_f a b =
   let x = to_float a and y = to_float b in
-  if Float.is_nan x || Float.is_nan y then None else Some (compare x y)
+  if Float.is_nan x || Float.is_nan y then None
+  else if x < y then Some (-1)
+  else if x > y then Some 1
+  else Some 0
 
 let pp fmt x = Format.fprintf fmt "0x%08x" x

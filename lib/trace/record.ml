@@ -62,38 +62,59 @@ type builder = {
 let builder () =
   { ops_b = Bytes.create 64; nops = 0; addrs_b = Bytes.create 64; naddr = 0 }
 
+(* A copy of [b] with room for [need] bytes, at least doubling it. The
+   callers assign a buffer field only when it must grow: the assignment
+   is a write barrier, too dear to pay on every op. *)
 let grow b need =
-  if need <= Bytes.length b then b
-  else begin
-    let bigger = Bytes.create (max need (2 * Bytes.length b)) in
-    Bytes.blit b 0 bigger 0 (Bytes.length b);
-    bigger
-  end
+  let bigger = Bytes.create (max need (2 * Bytes.length b)) in
+  Bytes.blit b 0 bigger 0 (Bytes.length b);
+  bigger
 
-let set32 what b pos v =
+let check32 what v =
   if v < 0 || v > u32_max then
-    invalid_arg (Printf.sprintf "Record: %s %d does not fit in 32 bits" what v);
-  Bytes.set_int32_le b pos (Int32.of_int v)
+    invalid_arg (Printf.sprintf "Record: %s %d does not fit in 32 bits" what v)
 
-let push b ~idx ~occ ~active accesses =
-  let n = Array.length accesses in
-  let pos = b.nops * row_bytes in
-  b.ops_b <- grow b.ops_b (pos + row_bytes);
-  b.addrs_b <- grow b.addrs_b (4 * (b.naddr + n));
-  set32 "address offset" b.ops_b pos b.naddr;
-  set32 "instruction index" b.ops_b (pos + 4) idx;
-  set32 "occurrence" b.ops_b (pos + 8) occ;
-  set32 "active mask" b.ops_b (pos + 12) active;
+let[@inline] put32 b pos v = Bytes.set_int32_le b pos (Int32.of_int v)
+
+(* Append one op whose addresses are [addrs.(0 .. n - 1)]. The fields
+   are written unchecked and their OR is checked once: a value outside
+   [\[0, 2^32)] sets a bit above bit 31. Only then are they checked one
+   by one, in layout order, to name the first bad one; the op is not
+   committed, so the builder is unchanged. *)
+let push b ~idx ~occ ~active addrs n =
+  let pos = b.nops * row_bytes and apos = 4 * b.naddr in
+  if pos + row_bytes > Bytes.length b.ops_b then
+    b.ops_b <- grow b.ops_b (pos + row_bytes);
+  if apos + (4 * n) > Bytes.length b.addrs_b then
+    b.addrs_b <- grow b.addrs_b (apos + (4 * n));
+  let ops = b.ops_b and abuf = b.addrs_b in
+  put32 ops pos b.naddr;
+  put32 ops (pos + 4) idx;
+  put32 ops (pos + 8) occ;
+  put32 ops (pos + 12) active;
+  let bits = ref (b.naddr lor idx lor occ lor active) in
   for k = 0 to n - 1 do
-    set32 "address" b.addrs_b (4 * (b.naddr + k)) accesses.(k)
+    let a = addrs.(k) in
+    put32 abuf (apos + (4 * k)) a;
+    bits := !bits lor a
   done;
+  if !bits land lnot u32_max <> 0 then begin
+    check32 "address offset" b.naddr;
+    check32 "instruction index" idx;
+    check32 "occurrence" occ;
+    check32 "active mask" active;
+    for k = 0 to n - 1 do
+      check32 "address" addrs.(k)
+    done
+  end;
   b.nops <- b.nops + 1;
   b.naddr <- b.naddr + n
 
 let finish b =
   let pos = b.nops * row_bytes in
-  b.ops_b <- grow b.ops_b (pos + 4);
-  set32 "address offset" b.ops_b pos b.naddr;
+  if pos + 4 > Bytes.length b.ops_b then b.ops_b <- grow b.ops_b (pos + 4);
+  check32 "address offset" b.naddr;
+  put32 b.ops_b pos b.naddr;
   let w =
     {
       ops = Bytes.sub b.ops_b 0 (pos + 4);
@@ -107,7 +128,8 @@ let finish b =
 let warp_of_ops ops =
   let b = builder () in
   Array.iter
-    (fun (idx, occ, active, accesses) -> push b ~idx ~occ ~active accesses)
+    (fun (idx, occ, active, addrs) ->
+      push b ~idx ~occ ~active addrs (Array.length addrs))
     ops;
   finish b
 
@@ -138,7 +160,7 @@ let generate ?(warp_size = 32) mem (launch : Kernel.launch) =
     push
       builders.(r.Interp.warp)
       ~idx:r.Interp.inst_index ~occ:r.Interp.occ ~active:r.Interp.active
-      r.Interp.accesses
+      r.Interp.addrs r.Interp.naddrs
   in
   let config = { Interp.warp_size; capture_operands = false } in
   let emu_stats = Interp.run ~config ~on_exec mem launch in

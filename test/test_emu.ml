@@ -394,6 +394,20 @@ let test_exec_shared_out_of_bounds_faults () =
     | exception Interp.Fault _ -> true
     | _ -> false)
 
+let test_exec_shared_fault_texts () =
+  let fault_of body =
+    let k = parse (".kernel oob\n.shared 16\n" ^ body ^ "\n  exit;\n") in
+    match run_kernel ~block:(Kernel.dim3 1) k [||] (Memory.create ()) with
+    | exception Interp.Fault m -> m
+    | _ -> "no fault"
+  in
+  Alcotest.(check string)
+    "store past the end" "shared store out of bounds or misaligned: 0x40"
+    (fault_of "  st.shared.u32 [64], 1;");
+  Alcotest.(check string)
+    "misaligned load" "shared load out of bounds or misaligned: 0x2"
+    (fault_of "  ld.shared.u32 %r0, [2];")
+
 (* ------------------------------------------------------------------ *)
 (* Atomics                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -472,6 +486,67 @@ loop:
   let occs = List.map (fun r -> r.Interp.occ) subs in
   Alcotest.(check (list int)) "occurrences count up" [ 0; 1; 2 ] occs
 
+(* Captured operands are the values the instruction read, taken before it
+   writes its destination. *)
+let captured ~inst k params mem =
+  let config = { Interp.warp_size = 4; capture_operands = true } in
+  let seen = ref None in
+  ignore
+    (run_kernel ~block:(Kernel.dim3 4) ~config
+       ~on_exec:(fun r -> if r.Interp.inst_index = inst then seen := Some r)
+       k params mem);
+  match !seen with
+  | Some r -> r
+  | None -> Alcotest.fail "instruction never executed"
+
+let test_operands_before_write () =
+  let k =
+    parse
+      {|
+.kernel inplace
+  mov.u32 %r1, %tid.x;
+  add.u32 %r1, %r1, 1;
+  exit;
+|}
+  in
+  let r = captured ~inst:1 k [||] (Memory.create ()) in
+  Alcotest.(check (array (array int)))
+    "add reads %r1 before writing it"
+    [| [| 0; 1; 2; 3 |]; [| 1; 1; 1; 1 |] |]
+    r.Interp.operands;
+  Alcotest.(check (option (array int)))
+    "destination after the write" (Some [| 1; 2; 3; 4 |]) r.Interp.dst_values
+
+let test_operands_cas_compare () =
+  (* CAS reads its destination as the compare value: the operand is the
+     register before the swap overwrites it with the old memory word. *)
+  let k =
+    parse
+      {|
+.kernel cas
+.params 1
+  mov.u32 %r0, 7;
+  shl.b32 %r2, %tid.x, 2;
+  add.u32 %r2, %r2, %param0;
+  atom.global.cas.b32 %r0, [%r2], 9;
+  exit;
+|}
+  in
+  let m = Memory.create () in
+  let base = Memory.alloc m 16 in
+  Memory.write_i32s m base [| 7; 5; 7; 5 |];
+  let r = captured ~inst:3 k [| base |] m in
+  let addrs = Array.init 4 (fun lane -> base + (4 * lane)) in
+  Alcotest.(check (array (array int)))
+    "address, swap value, compare value before the swap"
+    [| addrs; [| 9; 9; 9; 9 |]; [| 7; 7; 7; 7 |] |]
+    r.Interp.operands;
+  Alcotest.(check (option (array int)))
+    "destination holds the old words" (Some [| 7; 5; 7; 5 |])
+    r.Interp.dst_values;
+  Alcotest.(check (array int))
+    "matching lanes swapped" [| 9; 5; 9; 5 |] (Memory.read_i32s m base 4)
+
 let test_partial_last_warp () =
   (* 40 threads: warp 1 runs with an 8-lane mask *)
   let k =
@@ -497,6 +572,27 @@ let test_partial_last_warp () =
   let out = Memory.read_i32s m dst 41 in
   check_int "thread 39 stored" 5 out.(39);
   check_int "thread 40 untouched" 0 out.(40)
+
+(* The step allocates nothing per lane: a bare run of MM at scale 1
+   (no observer) stays within a small per-instruction budget, which
+   covers the run's own set-up (CFG, warp state) spread over its
+   instructions. *)
+let test_step_allocation () =
+  let p =
+    Darsie_workloads.Matmul.workload.Darsie_workloads.Workload.prepare ~scale:1
+  in
+  let before = Gc.minor_words () in
+  let s =
+    Interp.run p.Darsie_workloads.Workload.mem
+      p.Darsie_workloads.Workload.launch
+  in
+  let per_inst =
+    (Gc.minor_words () -. before) /. float_of_int s.Interp.warp_insts
+  in
+  check_bool
+    (Printf.sprintf "%.1f minor words per warp instruction (bound 16)"
+       per_inst)
+    true (per_inst <= 16.0)
 
 (* ------------------------------------------------------------------ *)
 (* Differential testing: SIMT emulator vs a scalar per-thread
@@ -769,6 +865,8 @@ let () =
             test_exec_barrier_under_divergence_faults;
           Alcotest.test_case "shared bounds" `Quick
             test_exec_shared_out_of_bounds_faults;
+          Alcotest.test_case "shared fault texts" `Quick
+            test_exec_shared_fault_texts;
         ] );
       ( "atomics",
         [
@@ -779,6 +877,11 @@ let () =
         [
           Alcotest.test_case "callback" `Quick test_trace_callback;
           Alcotest.test_case "partial warp" `Quick test_partial_last_warp;
+          Alcotest.test_case "operands before the write" `Quick
+            test_operands_before_write;
+          Alcotest.test_case "cas compare operand" `Quick
+            test_operands_cas_compare;
+          Alcotest.test_case "allocation bound" `Quick test_step_allocation;
         ] );
       ("differential", [ QCheck_alcotest.to_alcotest qcheck_differential ]);
     ]

@@ -113,7 +113,8 @@ let exec_stream (p : Darsie_workloads.Workload.prepared) =
   let on_exec (r : Darsie_emu.Interp.exec_record) =
     let open Darsie_emu.Interp in
     per.(r.tb).(r.warp) <-
-      (r.inst_index, r.occ, r.active, r.accesses) :: per.(r.tb).(r.warp)
+      (r.inst_index, r.occ, r.active, Array.sub r.addrs 0 r.naddrs)
+      :: per.(r.tb).(r.warp)
   in
   ignore
     (Darsie_emu.Interp.run ~on_exec p.Darsie_workloads.Workload.mem launch);
@@ -198,6 +199,93 @@ let test_record_roundtrip () =
   check_int "guarded load: lanes 0-6 of warp 0 touch memory" 7
     (Record.naddrs t.Record.tbs.(1).(0) 4);
   check_int "guarded load: no lane of warp 1 does" 0 (Record.naddrs w 4)
+
+(* Generating MM's scale-1 trace allocates at most 40 minor words per
+   op: the emulator's step allocates nothing per lane, and [push] packs
+   each op straight from the emulator's address buffer. *)
+let test_generate_allocation () =
+  let p =
+    Darsie_workloads.Matmul.workload.Darsie_workloads.Workload.prepare ~scale:1
+  in
+  let before = Gc.minor_words () in
+  let t =
+    Record.generate p.Darsie_workloads.Workload.mem
+      p.Darsie_workloads.Workload.launch
+  in
+  let per_op = (Gc.minor_words () -. before) /. float_of_int (Record.total_ops t) in
+  check_bool
+    (Printf.sprintf "%.1f minor words per op (bound 40)" per_op)
+    true (per_op <= 40.0)
+
+(* The emulator's output, pinned: an MD5 over every warp's packed [ops]
+   and [addrs] buffers plus the emulator's stats, for each Table-1 app
+   at scale 1, and one over the seed-0 generated kernels 0-49 that
+   build (atomics, predication, divergence, float ops and special
+   registers). The digests were recorded before the emulator's step was
+   rewritten without allocation; any change to a trace moves them. *)
+let trace_digest (t : Record.t) =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (Array.iter (fun (w : Record.warp) ->
+         Buffer.add_bytes b w.Record.ops;
+         Buffer.add_bytes b w.Record.addrs))
+    t.Record.tbs;
+  let s = t.Record.emu_stats in
+  Buffer.add_string b
+    (Printf.sprintf "%d/%d/%d" s.Darsie_emu.Interp.warp_insts
+       s.Darsie_emu.Interp.thread_insts s.Darsie_emu.Interp.max_stack_depth);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_traces =
+  [
+    ("BIN", "258d447a1c1066997d0e177da424177e");
+    ("PT", "7fb118d5a5e5e5883aec7a232e6b9984");
+    ("FW", "b034f6215ec7db1cda33d52d758e0bf2");
+    ("SR1", "dadc50b3609fb11531e038bd29b2c581");
+    ("LIB", "6f7f27138436b67196d7a1d4832857f3");
+    ("IMNLM", "34ba5d0e6320289b560fd78c04552350");
+    ("BP", "c8ca20956e79e2ea1b36de8d5ea1ca2e");
+    ("DCT8x8", "0e7c1979acd1665623a19f76868d1bbd");
+    ("FWS", "b4b1a631718d25bac8cba4c82fdff0fe");
+    ("HS", "577e32cb4d4ed7eb97994b658a67f382");
+    ("CP", "4d5b09c43439c64c8ab9e53c8d0d584b");
+    ("CONVTEX", "13ea6c7fc46cb5dc2ccbe02474ad14d5");
+    ("MM", "c601aecc75ac968a8c170c81a965b1a7");
+  ]
+
+let pinned_generated = "fb8d78d43bf32fe8901ef35e915f524c"
+
+let test_trace_pin () =
+  let apps =
+    List.map
+      (fun (w : Darsie_workloads.Workload.t) ->
+        let p = w.Darsie_workloads.Workload.prepare ~scale:1 in
+        ( w.Darsie_workloads.Workload.abbr,
+          trace_digest
+            (Record.generate p.Darsie_workloads.Workload.mem
+               p.Darsie_workloads.Workload.launch) ))
+      Darsie_workloads.Registry.all
+  in
+  Alcotest.(check (list (pair string string)))
+    "Table-1 traces at scale 1" pinned_traces apps;
+  let generated =
+    List.filter_map
+      (fun index ->
+        let _, plan = Darsie_fuzz.Gen.generate ~seed:0 ~index in
+        match Darsie_fuzz.Plan.build plan with
+        | Ok case ->
+          let p = Darsie_fuzz.Plan.prepared case in
+          Some
+            (trace_digest
+               (Record.generate p.Darsie_workloads.Workload.mem
+                  p.Darsie_workloads.Workload.launch))
+        | Error _ -> None)
+      (List.init 50 Fun.id)
+  in
+  Alcotest.(check string)
+    (Printf.sprintf "%d generated kernels' traces" (List.length generated))
+    pinned_generated
+    (Digest.to_hex (Digest.string (String.concat "," generated)))
 
 let test_record_rejects () =
   Alcotest.check_raises "warp size above 32"
@@ -447,6 +535,8 @@ let () =
           Alcotest.test_case "cache store then find" `Quick
             test_cache_store_find;
           Alcotest.test_case "footprint" `Quick test_footprint;
+          Alcotest.test_case "pinned traces" `Quick test_trace_pin;
+          Alcotest.test_case "allocation bound" `Quick test_generate_allocation;
         ] );
       ( "limit-study",
         [
