@@ -33,10 +33,11 @@ cli-docs: build
 # non-default fidelity knobs (dual-issue fetch + an MSHR limit) — writes
 # its JSON, and one `darsie validate` re-proves every identity from the
 # files. The fidelity file's machine_config echo is checked against the
-# flags that produced it (an echo, not an identity). Negative lines: a
-# copy of mm.json with "cycles" corrupted must exit 2, and three input
-# errors must exit 1 — --scale 0, an unwritable --json path, and --json
-# on an experiment that writes no document.
+# flags that produced it (an echo, not an identity). Negative line: a
+# copy of mm.json with "cycles" corrupted must exit 2. The input errors
+# that exit 1 (--scale 0, an unwritable --json path, --json on an
+# experiment that writes no document) are pinned in test/cli.t/run.t,
+# which `dune runtest` runs.
 export-smoke: build
 	mkdir -p $(SMOKE_DIR)
 	$(DUNE) exec bin/darsie.exe -- profile MM -m DARSIE \
@@ -61,13 +62,6 @@ export-smoke: build
 	  > $(SMOKE_DIR)/mm_bad.json
 	$(DUNE) exec bin/darsie.exe -- validate $(SMOKE_DIR)/mm_bad.json; \
 	  test $$? -eq 2 || { echo "corrupted cycles not rejected"; exit 1; }
-	for args in "run MM --scale 0" "limit MM --scale 0" \
-	  "experiment fig8 --scale 0" \
-	  "run MM --json $(SMOKE_DIR)/no-such-dir/mm.json" \
-	  "experiment table2 --json $(SMOKE_DIR)/table2.json"; do \
-	  $(DUNE) exec bin/darsie.exe -- $$args > /dev/null; \
-	  test $$? -eq 1 || { echo "darsie $$args: expected exit 1"; exit 1; }; \
-	done
 
 # Robustness smoke: differential oracle plus seeded fault injection on
 # two apps (LIB has candidates for all three fault kinds), exported and
