@@ -44,7 +44,6 @@ let factory : Engine.factory =
     skip_steady = (fun () -> true);
     bulk_skip = (fun ~cycle:_ ~n:_ -> ());
     on_fast_forward = (fun ~cycle:_ -> ());
-    can_fetch = (fun _ -> true);
     recheck_fetch = (fun _ -> true);
     remove_at_fetch = (fun _ _ -> false);
     on_issue;

@@ -456,7 +456,6 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
       end
     end
   in
-  let can_fetch (w : Engine.wctx) = w.Engine.fetch_ok in
   (* A fetch-bundle follower slot advanced [fi] past the instruction the
      skip phase gated on, so [fetch_ok] is stale; re-run the single-warp
      pre-fetch window at the new cursor. This shares the cycle's
@@ -613,7 +612,6 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
       (* Keep the telemetry clock where stepping would have left it, so
          instance lifetimes flushed on the landing cycle are identical. *)
       (fun ~cycle -> Skip_table.Telemetry.set_now telemetry cycle);
-    can_fetch;
     recheck_fetch;
     remove_at_fetch = (fun _ _ -> false);
     on_issue;

@@ -539,9 +539,14 @@ let replay_corpus ?base_cfg ~dir () =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   let worst = ref 0 in
   let bump code = if !worst = 0 then worst := code in
-  let entries = Corpus.load_dir dir in
-  if entries = [] then line "corpus %s: no .fuzz files" dir
-  else
+  match Corpus.load_dir dir with
+  | [] ->
+    (* nothing to replay is an input error, not a pass: a mistyped path
+       would otherwise check nothing and succeed *)
+    if Sys.file_exists dir && Sys.is_directory dir then
+      (Printf.sprintf "corpus %s: no .fuzz files\n" dir, 1)
+    else (Printf.sprintf "corpus %s: no such directory\n" dir, 1)
+  | entries ->
     List.iter
       (fun (fname, res) ->
         match res with
@@ -591,5 +596,5 @@ let replay_corpus ?base_cfg ~dir () =
                           line "%s: injected %s detected" fname
                             (Injector.kind_name kind)))))
       entries;
-  line "corpus result: %s" (if !worst = 0 then "PASS" else "FAIL");
-  (Buffer.contents b, !worst)
+    line "corpus result: %s" (if !worst = 0 then "PASS" else "FAIL");
+    (Buffer.contents b, !worst)

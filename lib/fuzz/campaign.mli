@@ -95,4 +95,5 @@ val replay_corpus :
   ?base_cfg:Darsie_timing.Config.t -> dir:string -> unit -> string * int
 (** Re-run every [*.fuzz] file: clean entries must pass the stacked
     differential; injected entries must pass clean {e and} have their
-    recorded fault detected when re-injected. *)
+    recorded fault detected when re-injected. A missing [dir], or one
+    without [*.fuzz] files, is an input error: one line and code 1. *)

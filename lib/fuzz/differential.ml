@@ -112,24 +112,10 @@ let check_case ?(base_cfg = Config.default) (case : Plan.case) : verdict =
           let failure =
             match ff_diff on off with
             | Some d -> Some (fail "ff_divergence" d)
-            | None -> (
-                let inv name check r =
-                  match check r with
-                  | Ok () -> None
-                  | Error msg -> Some (fail name msg)
-                in
-                match
-                  List.find_map
-                    (fun f -> f ())
-                    [
-                      (fun () -> inv "attribution" Gpu.check_attribution on);
-                      (fun () -> inv "attribution" Gpu.check_attribution off);
-                      (fun () -> inv "ledger" Gpu.check_ledger on);
-                      (fun () -> inv "ledger" Gpu.check_ledger off);
-                    ]
-                with
-                | Some f -> Some f
-                | None -> None)
+            | None ->
+                Option.map
+                  (fun (kind, msg) -> fail kind msg)
+                  (Gpu.check_invariants [ on; off ])
           in
           match failure with
           | Some f -> failed ~forwards ~warp_insts f

@@ -8,10 +8,11 @@
        DARSIE timing engine with event-driven fast-forwarding on and off:
        cycles, stats, stall attribution, skip telemetry and the skip
        ledger must match bit-for-bit.
-    3. {e Accounting invariants} — {!Darsie_timing.Gpu.check_attribution}
-       (every simulated cycle lands in exactly one stall bucket) and
+    3. {e Accounting invariants} — {!Darsie_timing.Gpu.check_invariants}
+       on both timing runs: {!Darsie_timing.Gpu.check_attribution} (every
+       simulated cycle lands in exactly one stall bucket) on each, then
        {!Darsie_timing.Gpu.check_ledger} (eligible = sum of fates, per SM
-       and aggregated) on both timing runs.
+       and aggregated) on each.
 
     A failure carries a stable kind tag — the shrinker's predicate is
     "the same kind still fails", so minimization never wanders from an

@@ -118,9 +118,9 @@ let check_app ?cfg ?(scale = 1) ?(machines = default_machines) ?(oracle = true)
             with
             | Error e | Ok (Error e) -> Error e
             | Ok (Ok r) -> (
-              match Gpu.check_attribution r.Suite.gpu with
-              | Ok () -> Ok r.Suite.gpu.Gpu.cycles
-              | Error msg ->
+              match Gpu.check_invariants [ r.Suite.gpu ] with
+              | None -> Ok r.Suite.gpu.Gpu.cycles
+              | Some (_, msg) ->
                 Error
                   (Sim_error.Invariant_violation
                      {

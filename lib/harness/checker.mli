@@ -62,7 +62,8 @@ val check_app :
   Darsie_workloads.Workload.t ->
   app_report
 (** Check one application: functional run + CPU reference, timing runs on
-    [machines] (default BASE and DARSIE, each attribution-checked),
+    [machines] (default BASE and DARSIE, each held to
+    {!Darsie_timing.Gpu.check_invariants}: attribution and skip ledger),
     differential oracle when [oracle] (default true), and [inject]
     (default 0) seeded faults that the oracle must detect. [deadline]
     bounds each timing run in wall-clock seconds. [cache] lets the timing

@@ -41,7 +41,6 @@ type t = {
   watchdog_cycles : int;
   fast_forward : bool;
   sm_domains : int;
-  epoch_slack : int;
 }
 
 let default =
@@ -86,7 +85,6 @@ let default =
     watchdog_cycles = 50_000;
     fast_forward = true;
     sm_domains = 1;
-    epoch_slack = 0;
   }
 
 let pp fmt c =

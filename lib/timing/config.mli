@@ -91,14 +91,6 @@ type t = {
           is a host performance knob, not a machine parameter, so it is
           excluded from {!knobs} and from the metrics [machine_config]
           echo *)
-  epoch_slack : int;
-      (** epoch length (clock slack) of the cycle loop: each shard
-          advances its SMs this many cycles between barriers.
-          [0] (default) auto-sizes to the soundness bound
-          [l1_lat + dram_lat]; explicit values are clamped to that
-          bound, below which a deferred DRAM request provably cannot
-          complete inside its own epoch. Like [sm_domains], timing
-          invisible *)
 }
 
 val default : t

@@ -9,14 +9,13 @@ type wctx = {
   pending : int array;
   mutable pending_count : int;
   mutable at_barrier : bool;
-  mutable finished : bool;
-  mutable last_issued : int;
   mutable fetch_ready_at : int;
   mutable mem_inflight : int;
   mutable mshr_used : int;
   (* Engine-owned per-warp scratch, inlined here so the skip phase's
      hottest per-warp-per-cycle accesses are field reads instead of
-     Hashtbl traffic. Only the engine writes these. *)
+     Hashtbl traffic. Only the engine writes these; the SM's fetch gate
+     reads [fetch_ok]. *)
   mutable fetch_ok : bool;
   mutable parked_at : int;
   mutable skip_stall : int;
@@ -50,9 +49,8 @@ type t = {
      accumulation run the phase once and scale the deltas. *)
   bulk_skip : cycle:int -> n:int -> unit;
   on_fast_forward : cycle:int -> unit;
-  can_fetch : wctx -> bool;
   (* Fresh fetch-gate decision at the warp's current cursor; bundle
-     follower slots must use this, not the (stale) [can_fetch]. *)
+     follower slots must use this, not the (stale) [fetch_ok]. *)
   recheck_fetch : wctx -> bool;
   remove_at_fetch : wctx -> int -> bool;
   on_issue : cycle:int -> wctx -> int -> issue_decision;
@@ -79,7 +77,6 @@ let base () =
     skip_steady = (fun () -> true);
     bulk_skip = (fun ~cycle:_ ~n:_ -> ());
     on_fast_forward = (fun ~cycle:_ -> ());
-    can_fetch = (fun _ -> true);
     recheck_fetch = (fun _ -> true);
     remove_at_fetch = (fun _ _ -> false);
     on_issue = (fun ~cycle:_ _ _ -> Execute);

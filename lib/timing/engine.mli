@@ -9,9 +9,9 @@
     - skip instructions pre-fetch with its own per-cycle logic
       ([cycle_skip], used by DARSIE: advances warps' trace cursors and
       accounts for skip-table/renaming activity and synchronization);
-    - hold a warp back from fetching ([can_fetch] = false, used by DARSIE
-      for branch synchronization, follower LeaderWB waits and freelist
-      pressure);
+    - hold a warp back from fetching (clear the warp's [fetch_ok], used by
+      DARSIE for branch synchronization, follower LeaderWB waits and
+      freelist pressure);
     - drop instructions at issue after fetch/decode ([on_issue] = [Drop],
       used by UV's reuse buffer);
     - observe writebacks, stores and TB lifecycle events. *)
@@ -29,8 +29,6 @@ type wctx = {
   pending : int array;  (** scoreboard: outstanding writes per vreg *)
   mutable pending_count : int;
   mutable at_barrier : bool;
-  mutable finished : bool;
-  mutable last_issued : int;  (** cycle of last issue, for GTO *)
   mutable fetch_ready_at : int;  (** earliest cycle the next fetch may
                                      complete (I-cache miss fill) *)
   mutable mem_inflight : int;
@@ -43,11 +41,12 @@ type wctx = {
           writeback. Gates global-load issue when [Config.mshrs] > 0;
           stays 0 when the knob is off. Maintained by the SM *)
   mutable fetch_ok : bool;
-      (** engine fetch gate ([can_fetch] for the gating engines); owned
-          by the engine, inlined here so the skip phase pays a field
-          access instead of a hash lookup. DARSIE re-decides a warp only
-          when its cursor moved or its TB's majority reset, and leaves a
-          settled warp's gate at [true]. Starts [true] *)
+      (** engine fetch gate: the SM fetches for a warp only while this
+          is [true]. Owned by the engine, inlined here so the skip phase
+          pays a field access instead of a hash lookup. Only DARSIE
+          clears it: it re-decides a warp only when its cursor moved or
+          its TB's majority reset, and leaves a settled warp's gate at
+          [true]. Starts [true] *)
   mutable parked_at : int;
       (** trace index this warp is parked at in a skip-table entry's
           warps-waiting bitmask, or [-1] when not parked; engine-owned *)
@@ -99,10 +98,9 @@ type t = {
           was skipped without calling [cycle_skip]. Engines tracking the
           current cycle (DARSIE's skip-table telemetry clock) resync
           here; called only when [skip_steady ()] held *)
-  can_fetch : wctx -> bool;
   recheck_fetch : wctx -> bool;
       (** re-evaluate the fetch gate for [w] at its {e current} cursor.
-          [can_fetch] reads the decision the skip phase made for the
+          [fetch_ok] holds the decision the skip phase made for the
           cursor it saw at the top of the cycle; a fetch-bundle follower
           slot ([Config.issue_width] > 1) has since advanced [fi], so
           the stale gate must not be trusted — a warp could sail past a

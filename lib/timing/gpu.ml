@@ -102,17 +102,14 @@ let resolve_domains (cfg : Config.t) =
   max 1 (min n cfg.Config.num_sms)
 
 (* Epoch slack: how far an SM may run ahead of the earliest wake-up
-   before the next barrier. Soundness bound: a deferred DRAM request
-   issued at cycle [x] completes no earlier than [x + l1_lat +
-   dram_lat], so as long as the epoch ends before that, its writeback
-   cannot fall due on its [max_int] placeholder inside the epoch.
-   One-cycle epochs are always sound (a request's writeback is never
-   due before the next cycle). [0] picks the bound itself; explicit
-   values are clamped into [1, bound]. *)
-let resolve_slack (cfg : Config.t) =
-  let bound = max 1 (cfg.Config.l1_lat + cfg.Config.dram_lat) in
-  if cfg.Config.epoch_slack <= 0 then bound
-  else min cfg.Config.epoch_slack bound
+   before the next barrier. It is the soundness bound itself: a deferred
+   DRAM request issued at cycle [x] completes no earlier than [x + l1_lat
+   + dram_lat], so as long as the epoch ends before that, its writeback
+   cannot fall due on its [max_int] placeholder inside the epoch. At zero
+   latencies it is one cycle, which is always sound (a request's
+   writeback is never due before the next cycle). *)
+let epoch_slack (cfg : Config.t) =
+  max 1 (cfg.Config.l1_lat + cfg.Config.dram_lat)
 
 (* Sort key of a buffered event in lockstep emission order: by cycle,
    and within a cycle every SM's step events before the threadblock
@@ -203,7 +200,7 @@ let simulate ~cfg ~sink ~sample_interval ~deadline ~pcstat factory
   in
   let ntbs = Record.num_tbs trace in
   let next_tb = ref 0 in
-  let slack = resolve_slack cfg in
+  let slack = epoch_slack cfg in
   let next_wake sm =
     if cfg.Config.fast_forward then Sm.next_event_cycle sm
     else Sm.cycle sm + 1
@@ -672,3 +669,12 @@ let check_ledger r =
              (Obs.Ledger.expected_total r.ledger)
              sum_expected r.engine)
       else Ok ())
+
+let check_invariants rs =
+  List.find_map
+    (fun (kind, check) ->
+      List.find_map
+        (fun r ->
+          match check r with Ok () -> None | Error msg -> Some (kind, msg))
+        rs)
+    [ ("attribution", check_attribution); ("ledger", check_ledger) ]

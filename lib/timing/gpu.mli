@@ -107,3 +107,10 @@ val check_ledger : result -> (unit, string) Stdlib.result
     aggregate ledger reproduces the per-SM sum. Holds bit-identically
     with fast-forwarding on or off; enforced by the CLI next to
     {!check_attribution}. *)
+
+val check_invariants : result list -> (string * string) option
+(** Every conservation invariant of the runs [rs], as the CLI, the
+    checker and the fuzz differential enforce them: {!check_attribution}
+    on each run, then {!check_ledger} on each. The first failure, as
+    ([kind], message) with [kind] ["attribution"] or ["ledger"]; [None]
+    when all hold. *)

@@ -3,7 +3,6 @@ module Obs = Darsie_obs
 
 type slot_state = {
   mutable occupied : bool;
-  mutable tb_id : int;
   mutable inflight_ops : int;
   mutable barrier_release_at : int;  (* -1 when no release pending *)
   mutable n_at_barrier : int;  (* resident warps with at_barrier set *)
@@ -131,7 +130,6 @@ let create ?(sm_id = 0) ?(sink = Obs.Sink.null) ?series ?pcstat cfg kinfo
       Array.init slots (fun _ ->
           {
             occupied = false;
-            tb_id = -1;
             inflight_ops = 0;
             barrier_release_at = -1;
             n_at_barrier = 0;
@@ -192,7 +190,6 @@ let launch_tb t ~tb_id ~traces =
   in
   let slot = t.slots.(slot_idx) in
   slot.occupied <- true;
-  slot.tb_id <- tb_id;
   slot.inflight_ops <- 0;
   slot.barrier_release_at <- -1;
   slot.n_at_barrier <- 0;
@@ -212,8 +209,6 @@ let launch_tb t ~tb_id ~traces =
           pending = Array.make nregs 0;
           pending_count = 0;
           at_barrier = false;
-          finished = false;
-          last_issued = 0;
           fetch_ready_at = 0;
           mem_inflight = 0;
           mshr_used = 0;
@@ -289,8 +284,8 @@ let warp_snapshots t =
         let state =
           if drained && w.Engine.pending_count = 0 then "finished"
           else if w.Engine.at_barrier then "at_barrier"
-          else if Queue.is_empty w.Engine.ibuf && not (t.engine.Engine.can_fetch w)
-          then "fetch_gated"
+          else if Queue.is_empty w.Engine.ibuf && not w.Engine.fetch_ok then
+            "fetch_gated"
           else "runnable"
         in
         let snap =
@@ -530,239 +525,236 @@ let dram_request t ~now ~ntxns =
   t.dram_patch <- Some req;
   max_int
 
-(* Issue one op from warp [w]; returns false if the head op cannot issue. *)
-let try_issue_head t budget (w : Engine.wctx) =
-  if w.Engine.at_barrier then false
-  else
-    match Queue.peek_opt w.Engine.ibuf with
-    | None -> false
-    | Some (pos, fetch_cycle) ->
-      let idx = Record.idx w.Engine.trace pos in
-      let kinfo = t.kinfo in
-      let unit_class = kinfo.Kinfo.unit_of.(idx) in
-      let structural_ok =
-        match unit_class with
-        | Kinfo.Mem_global | Kinfo.Mem_shared -> budget.mem_left > 0
-        | Kinfo.Sfu -> budget.sfu_left > 0
-        | Kinfo.Alu | Kinfo.Ctrl -> true
-      in
-      (* operand collection: instructions reading registers need a free
-         operand-collector unit *)
-      let collector =
-        if kinfo.Kinfo.nsrcs.(idx) = 0 then Some (-1)
-        else begin
-          let found = ref None in
-          Array.iteri
-            (fun u busy -> if !found = None && busy <= t.cycle then found := Some u)
-            t.collectors;
-          !found
-        end
-      in
-      if fetch_cycle >= t.cycle || not structural_ok || collector = None
-         || (not (scoreboard_ready w kinfo idx))
-         || mem_struct_blocked t w idx
-      then false
-      else begin
-        ignore (Queue.pop w.Engine.ibuf);
-        let stats = t.stats in
-        let cfg = t.cfg in
-        let mshrs_alloc = ref 0 in
-        w.Engine.last_issued <- t.cycle;
-        t.issue_slots_used <- t.issue_slots_used + 1;
-        if t.issue_slots_used = 1 then t.active_pc <- idx;
-        (match t.engine.Engine.on_issue ~cycle:t.cycle w pos with
-        | Engine.Drop ->
-          (* Eliminated at issue (UV): consumed fetch/decode and an issue
-             slot but no execution resources; the reuse-buffer value is
-             available to dependents next cycle. *)
-          stats.Stats.dropped_issue <- stats.Stats.dropped_issue + 1;
-          pc_note t (fun p -> Obs.Pcstat.note_drop p ~pc:idx);
-          emit t ~warp:w.Engine.wid Obs.Event.Drop_at_issue;
-          (match kinfo.Kinfo.shape.(idx) with
-          | Darsie_compiler.Marking.Uniform ->
-            stats.Stats.elim_uniform <- stats.Stats.elim_uniform + 1
-          | Darsie_compiler.Marking.Affine ->
-            stats.Stats.elim_affine <- stats.Stats.elim_affine + 1
-          | Darsie_compiler.Marking.Unstructured | Darsie_compiler.Marking.Varying ->
-            stats.Stats.elim_unstructured <- stats.Stats.elim_unstructured + 1);
-          (match kinfo.Kinfo.dst_reg.(idx) with
-          | Some d ->
-            w.Engine.pending.(d) <- w.Engine.pending.(d) + 1;
-            w.Engine.pending_count <- w.Engine.pending_count + 1;
-            t.slots.(w.Engine.tb_slot).inflight_ops <-
-              t.slots.(w.Engine.tb_slot).inflight_ops + 1;
-            add_inflight t w pos ~finish:(t.cycle + 1)
-          | None -> ())
-        | Engine.Execute ->
-          stats.Stats.issued <- stats.Stats.issued + 1;
-          pc_note t (fun p -> Obs.Pcstat.note_issue p ~pc:idx);
-          stats.Stats.executed_threads <-
-            stats.Stats.executed_threads
-            + popcount (Record.active w.Engine.trace pos);
-          emit t ~warp:w.Engine.wid Obs.Event.Issue;
-          (* Register file reads and bank conflicts. *)
-          let conflicts = ref 0 in
-          List.iter
-            (fun r ->
-              let b = bank_of t w r in
-              if t.bank_use.(b) > 0 then incr conflicts;
-              t.bank_use.(b) <- t.bank_use.(b) + 1;
-              stats.Stats.rf_reads <- stats.Stats.rf_reads + 1)
-            kinfo.Kinfo.src_regs.(idx);
-          stats.Stats.rf_bank_conflicts <-
-            stats.Stats.rf_bank_conflicts + !conflicts;
-          (match collector with
-          | Some u when u >= 0 -> t.collectors.(u) <- t.cycle + 2 + !conflicts
-          | _ -> ());
-          let finish =
-            match unit_class with
-            | Kinfo.Alu ->
-              stats.Stats.alu_ops <- stats.Stats.alu_ops + 1;
-              t.cycle + cfg.Config.alu_lat + !conflicts
-            | Kinfo.Ctrl ->
-              if kinfo.Kinfo.is_barrier.(idx) then w.Engine.at_barrier <- true
-              else if kinfo.Kinfo.is_branch.(idx) && cfg.Config.sync_at_branches
-              then w.Engine.at_barrier <- true;
-              if w.Engine.at_barrier then begin
-                (* the issue guard rejects warps already at a barrier, so
-                   this transition is always false -> true *)
-                t.slots.(w.Engine.tb_slot).n_at_barrier <-
-                  t.slots.(w.Engine.tb_slot).n_at_barrier + 1;
-                t.last_barrier_pc <- idx;
-                emit t ~warp:w.Engine.wid Obs.Event.Barrier_arrive
-              end;
-              t.cycle + cfg.Config.alu_lat
-            | Kinfo.Sfu ->
-              budget.sfu_left <- budget.sfu_left - 1;
-              stats.Stats.sfu_ops <- stats.Stats.sfu_ops + 1;
-              t.cycle + cfg.Config.sfu_lat + !conflicts
-            | Kinfo.Mem_shared ->
-              budget.mem_left <- budget.mem_left - 1;
-              stats.Stats.mem_ops <- stats.Stats.mem_ops + 1;
-              emit t ~warp:w.Engine.wid Obs.Event.Mem_access;
-              let banks =
-                if cfg.Config.smem_banks > 0 then cfg.Config.smem_banks
-                else cfg.Config.warp_size
-              in
-              let sc =
-                Mem_model.shared_conflicts t.mem_scratch ~banks w.Engine.trace
-                  pos
-              in
-              stats.Stats.shared_accesses <-
-                stats.Stats.shared_accesses + 1 + sc;
-              stats.Stats.shared_bank_conflicts <-
-                stats.Stats.shared_bank_conflicts + sc;
-              (* Conflict replay: the shared port stays busy while the
-                 [sc] replay passes serialize; the gate above keeps
-                 further shared accesses out until it frees. *)
-              if cfg.Config.smem_banks > 0 && sc > 0 then begin
-                t.smem_replay_until <- t.cycle + sc;
-                t.smem_replay_pc <- idx;
-                stats.Stats.smem_replay_cycles <-
-                  stats.Stats.smem_replay_cycles + sc
-              end;
-              t.cycle + cfg.Config.shared_lat + sc + !conflicts
-            | Kinfo.Mem_global ->
-              budget.mem_left <- budget.mem_left - 1;
-              stats.Stats.mem_ops <- stats.Stats.mem_ops + 1;
-              emit t ~warp:w.Engine.wid Obs.Event.Mem_access;
-              let nlines =
-                Mem_model.coalesce t.mem_scratch
-                  ~line_bytes:cfg.Config.l1_line w.Engine.trace pos
-              in
-              if kinfo.Kinfo.is_atomic.(idx) then begin
-                (* Atomics bypass the L1 and serialize at DRAM. *)
-                t.engine.Engine.on_store ~atomic:true w;
-                stats.Stats.dram_transactions <-
-                  stats.Stats.dram_transactions + nlines;
-                emit t ~warp:w.Engine.wid Obs.Event.Dram_txn;
-                dram_request t ~now:(t.cycle + cfg.Config.l1_lat) ~ntxns:nlines
-              end
-              else if kinfo.Kinfo.is_store.(idx) then begin
-                (* Write-through, no-allocate: stores drain to DRAM and do
-                   not stall the pipeline. *)
-                t.engine.Engine.on_store ~atomic:false w;
-                stats.Stats.l1_accesses <- stats.Stats.l1_accesses + nlines;
-                stats.Stats.dram_transactions <-
-                  stats.Stats.dram_transactions + nlines;
-                emit t ~warp:w.Engine.wid Obs.Event.Dram_txn;
-                ignore
-                  (dram_request t ~now:(t.cycle + cfg.Config.l1_lat)
-                     ~ntxns:nlines);
-                (* the store's own finish is latency-independent of DRAM;
-                   the queued request only matters for channel ordering *)
-                t.dram_patch <- None;
-                t.cycle + cfg.Config.alu_lat
-              end
-              else begin
-                stats.Stats.l1_accesses <- stats.Stats.l1_accesses + nlines;
-                let misses = ref 0 in
-                for k = 0 to nlines - 1 do
-                  let line = Mem_model.line t.mem_scratch k in
-                  if not (Mem_model.L1.access t.l1 line) then incr misses
-                done;
-                let misses = !misses in
-                stats.Stats.l1_misses <- stats.Stats.l1_misses + misses;
-                if misses = 0 then
-                  t.cycle + cfg.Config.l1_lat + nlines - 1 + !conflicts
-                else begin
-                  (* the gate guaranteed at least one free MSHR; the
-                     load allocates one per missed line, released at
-                     writeback *)
-                  if cfg.Config.mshrs > 0 then mshrs_alloc := misses;
-                  stats.Stats.dram_transactions <-
-                    stats.Stats.dram_transactions + misses;
-                  emit t ~warp:w.Engine.wid Obs.Event.L1_miss;
-                  emit t ~warp:w.Engine.wid Obs.Event.Dram_txn;
-                  dram_request t ~now:(t.cycle + cfg.Config.l1_lat)
-                    ~ntxns:misses
-                end
-              end
-          in
-          (* a DRAM round trip's latency is noted when [commit_epoch]
-             patches its real completion in *)
-          (match unit_class with
-          | (Kinfo.Mem_global | Kinfo.Mem_shared) when t.dram_patch = None ->
-            pc_note t (fun p ->
-                Obs.Pcstat.note_mem_latency p ~pc:idx ~lat:(finish - t.cycle))
-          | _ -> ());
-          (* Track every executed op for TB retirement; register release
-             happens at writeback only for ops that write one. *)
-          (match kinfo.Kinfo.dst_reg.(idx) with
-          | Some d ->
-            w.Engine.pending.(d) <- w.Engine.pending.(d) + 1;
-            w.Engine.pending_count <- w.Engine.pending_count + 1
-          | None -> ());
-          t.slots.(w.Engine.tb_slot).inflight_ops <-
-            t.slots.(w.Engine.tb_slot).inflight_ops + 1;
-          add_inflight ~mshrs:!mshrs_alloc t w pos ~finish;
-          (* Deferred DRAM: bind the queued request to the in-flight
-             record just consed so [commit_epoch] can patch its real
-             completion cycle in. *)
-          (match t.dram_patch with
-          | Some req ->
-            req.dq_fly <- Some (List.hd t.inflight);
-            t.dram_patch <- None
-          | None -> ()));
-        true
-      end
+(* The issue gate, written once for the schedulers' probe ([issueable])
+   and the issue itself ([try_issue_head]): the warp is not parked at a
+   barrier, its I-buffer head has aged a cycle since its fetch, the
+   head's operands and destination clear the scoreboard, and no
+   structural memory gate holds it. Cheapest tests first. *)
+let head_ready t (w : Engine.wctx) =
+  (not w.Engine.at_barrier)
+  && (not (Queue.is_empty w.Engine.ibuf))
+  &&
+  let pos, fetch_cycle = Queue.peek w.Engine.ibuf in
+  fetch_cycle < t.cycle
+  &&
+  let idx = Record.idx w.Engine.trace pos in
+  scoreboard_ready w t.kinfo idx && not (mem_struct_blocked t w idx)
 
-(* Candidates: warps with an issueable head. Top-level (not a per-cycle
+(* The first operand-collector unit free this cycle from [u] on, or -2. *)
+let rec free_collector t u =
+  if u = Array.length t.collectors then -2
+  else if t.collectors.(u) <= t.cycle then u
+  else free_collector t (u + 1)
+
+(* Issue one op from warp [w]; returns false if the head op cannot issue:
+   past the gate, it needs room in this cycle's issue budget and, when
+   it reads registers, a free operand-collector unit ([-1]: none
+   needed). *)
+let try_issue_head t budget (w : Engine.wctx) =
+  head_ready t w
+  &&
+  let pos, _ = Queue.peek w.Engine.ibuf in
+  let idx = Record.idx w.Engine.trace pos in
+  let kinfo = t.kinfo in
+  let unit_class = kinfo.Kinfo.unit_of.(idx) in
+  (match unit_class with
+  | Kinfo.Mem_global | Kinfo.Mem_shared -> budget.mem_left > 0
+  | Kinfo.Sfu -> budget.sfu_left > 0
+  | Kinfo.Alu | Kinfo.Ctrl -> true)
+  &&
+  let collector =
+    if kinfo.Kinfo.nsrcs.(idx) = 0 then -1 else free_collector t 0
+  in
+  collector <> -2
+  && begin
+    ignore (Queue.pop w.Engine.ibuf);
+    let stats = t.stats in
+    let cfg = t.cfg in
+    let mshrs_alloc = ref 0 in
+    t.issue_slots_used <- t.issue_slots_used + 1;
+    if t.issue_slots_used = 1 then t.active_pc <- idx;
+    (match t.engine.Engine.on_issue ~cycle:t.cycle w pos with
+    | Engine.Drop ->
+      (* Eliminated at issue (UV): consumed fetch/decode and an issue
+         slot but no execution resources; the reuse-buffer value is
+         available to dependents next cycle. *)
+      stats.Stats.dropped_issue <- stats.Stats.dropped_issue + 1;
+      pc_note t (fun p -> Obs.Pcstat.note_drop p ~pc:idx);
+      emit t ~warp:w.Engine.wid Obs.Event.Drop_at_issue;
+      (match kinfo.Kinfo.shape.(idx) with
+      | Darsie_compiler.Marking.Uniform ->
+        stats.Stats.elim_uniform <- stats.Stats.elim_uniform + 1
+      | Darsie_compiler.Marking.Affine ->
+        stats.Stats.elim_affine <- stats.Stats.elim_affine + 1
+      | Darsie_compiler.Marking.Unstructured | Darsie_compiler.Marking.Varying ->
+        stats.Stats.elim_unstructured <- stats.Stats.elim_unstructured + 1);
+      (match kinfo.Kinfo.dst_reg.(idx) with
+      | Some d ->
+        w.Engine.pending.(d) <- w.Engine.pending.(d) + 1;
+        w.Engine.pending_count <- w.Engine.pending_count + 1;
+        t.slots.(w.Engine.tb_slot).inflight_ops <-
+          t.slots.(w.Engine.tb_slot).inflight_ops + 1;
+        add_inflight t w pos ~finish:(t.cycle + 1)
+      | None -> ())
+    | Engine.Execute ->
+      stats.Stats.issued <- stats.Stats.issued + 1;
+      pc_note t (fun p -> Obs.Pcstat.note_issue p ~pc:idx);
+      stats.Stats.executed_threads <-
+        stats.Stats.executed_threads
+        + popcount (Record.active w.Engine.trace pos);
+      emit t ~warp:w.Engine.wid Obs.Event.Issue;
+      (* Register file reads and bank conflicts. *)
+      let conflicts = ref 0 in
+      List.iter
+        (fun r ->
+          let b = bank_of t w r in
+          if t.bank_use.(b) > 0 then incr conflicts;
+          t.bank_use.(b) <- t.bank_use.(b) + 1;
+          stats.Stats.rf_reads <- stats.Stats.rf_reads + 1)
+        kinfo.Kinfo.src_regs.(idx);
+      stats.Stats.rf_bank_conflicts <-
+        stats.Stats.rf_bank_conflicts + !conflicts;
+      if collector >= 0 then
+        t.collectors.(collector) <- t.cycle + 2 + !conflicts;
+      let finish =
+        match unit_class with
+        | Kinfo.Alu ->
+          stats.Stats.alu_ops <- stats.Stats.alu_ops + 1;
+          t.cycle + cfg.Config.alu_lat + !conflicts
+        | Kinfo.Ctrl ->
+          if kinfo.Kinfo.is_barrier.(idx) then w.Engine.at_barrier <- true
+          else if kinfo.Kinfo.is_branch.(idx) && cfg.Config.sync_at_branches
+          then w.Engine.at_barrier <- true;
+          if w.Engine.at_barrier then begin
+            (* the issue guard rejects warps already at a barrier, so
+               this transition is always false -> true *)
+            t.slots.(w.Engine.tb_slot).n_at_barrier <-
+              t.slots.(w.Engine.tb_slot).n_at_barrier + 1;
+            t.last_barrier_pc <- idx;
+            emit t ~warp:w.Engine.wid Obs.Event.Barrier_arrive
+          end;
+          t.cycle + cfg.Config.alu_lat
+        | Kinfo.Sfu ->
+          budget.sfu_left <- budget.sfu_left - 1;
+          stats.Stats.sfu_ops <- stats.Stats.sfu_ops + 1;
+          t.cycle + cfg.Config.sfu_lat + !conflicts
+        | Kinfo.Mem_shared ->
+          budget.mem_left <- budget.mem_left - 1;
+          stats.Stats.mem_ops <- stats.Stats.mem_ops + 1;
+          emit t ~warp:w.Engine.wid Obs.Event.Mem_access;
+          let banks =
+            if cfg.Config.smem_banks > 0 then cfg.Config.smem_banks
+            else cfg.Config.warp_size
+          in
+          let sc =
+            Mem_model.shared_conflicts t.mem_scratch ~banks w.Engine.trace
+              pos
+          in
+          stats.Stats.shared_accesses <-
+            stats.Stats.shared_accesses + 1 + sc;
+          stats.Stats.shared_bank_conflicts <-
+            stats.Stats.shared_bank_conflicts + sc;
+          (* Conflict replay: the shared port stays busy while the
+             [sc] replay passes serialize; the gate above keeps
+             further shared accesses out until it frees. *)
+          if cfg.Config.smem_banks > 0 && sc > 0 then begin
+            t.smem_replay_until <- t.cycle + sc;
+            t.smem_replay_pc <- idx;
+            stats.Stats.smem_replay_cycles <-
+              stats.Stats.smem_replay_cycles + sc
+          end;
+          t.cycle + cfg.Config.shared_lat + sc + !conflicts
+        | Kinfo.Mem_global ->
+          budget.mem_left <- budget.mem_left - 1;
+          stats.Stats.mem_ops <- stats.Stats.mem_ops + 1;
+          emit t ~warp:w.Engine.wid Obs.Event.Mem_access;
+          let nlines =
+            Mem_model.coalesce t.mem_scratch
+              ~line_bytes:cfg.Config.l1_line w.Engine.trace pos
+          in
+          if kinfo.Kinfo.is_atomic.(idx) then begin
+            (* Atomics bypass the L1 and serialize at DRAM. *)
+            t.engine.Engine.on_store ~atomic:true w;
+            stats.Stats.dram_transactions <-
+              stats.Stats.dram_transactions + nlines;
+            emit t ~warp:w.Engine.wid Obs.Event.Dram_txn;
+            dram_request t ~now:(t.cycle + cfg.Config.l1_lat) ~ntxns:nlines
+          end
+          else if kinfo.Kinfo.is_store.(idx) then begin
+            (* Write-through, no-allocate: stores drain to DRAM and do
+               not stall the pipeline. *)
+            t.engine.Engine.on_store ~atomic:false w;
+            stats.Stats.l1_accesses <- stats.Stats.l1_accesses + nlines;
+            stats.Stats.dram_transactions <-
+              stats.Stats.dram_transactions + nlines;
+            emit t ~warp:w.Engine.wid Obs.Event.Dram_txn;
+            ignore
+              (dram_request t ~now:(t.cycle + cfg.Config.l1_lat)
+                 ~ntxns:nlines);
+            (* the store's own finish is latency-independent of DRAM;
+               the queued request only matters for channel ordering *)
+            t.dram_patch <- None;
+            t.cycle + cfg.Config.alu_lat
+          end
+          else begin
+            stats.Stats.l1_accesses <- stats.Stats.l1_accesses + nlines;
+            let misses = ref 0 in
+            for k = 0 to nlines - 1 do
+              let line = Mem_model.line t.mem_scratch k in
+              if not (Mem_model.L1.access t.l1 line) then incr misses
+            done;
+            let misses = !misses in
+            stats.Stats.l1_misses <- stats.Stats.l1_misses + misses;
+            if misses = 0 then
+              t.cycle + cfg.Config.l1_lat + nlines - 1 + !conflicts
+            else begin
+              (* the gate guaranteed at least one free MSHR; the
+                 load allocates one per missed line, released at
+                 writeback *)
+              if cfg.Config.mshrs > 0 then mshrs_alloc := misses;
+              stats.Stats.dram_transactions <-
+                stats.Stats.dram_transactions + misses;
+              emit t ~warp:w.Engine.wid Obs.Event.L1_miss;
+              emit t ~warp:w.Engine.wid Obs.Event.Dram_txn;
+              dram_request t ~now:(t.cycle + cfg.Config.l1_lat)
+                ~ntxns:misses
+            end
+          end
+      in
+      (* a DRAM round trip's latency is noted when [commit_epoch]
+         patches its real completion in *)
+      (match unit_class with
+      | (Kinfo.Mem_global | Kinfo.Mem_shared) when t.dram_patch = None ->
+        pc_note t (fun p ->
+            Obs.Pcstat.note_mem_latency p ~pc:idx ~lat:(finish - t.cycle))
+      | _ -> ());
+      (* Track every executed op for TB retirement; register release
+         happens at writeback only for ops that write one. *)
+      (match kinfo.Kinfo.dst_reg.(idx) with
+      | Some d ->
+        w.Engine.pending.(d) <- w.Engine.pending.(d) + 1;
+        w.Engine.pending_count <- w.Engine.pending_count + 1
+      | None -> ());
+      t.slots.(w.Engine.tb_slot).inflight_ops <-
+        t.slots.(w.Engine.tb_slot).inflight_ops + 1;
+      add_inflight ~mshrs:!mshrs_alloc t w pos ~finish;
+      (* Deferred DRAM: bind the queued request to the in-flight
+         record just consed so [commit_epoch] can patch its real
+         completion cycle in. *)
+      (match t.dram_patch with
+      | Some req ->
+        req.dq_fly <- Some (List.hd t.inflight);
+        t.dram_patch <- None
+      | None -> ()));
+    true
+  end
+
+(* Candidates: warps whose head passes the issue gate. The structural
+   memory gates (MSHR / replay port) hide a warp from the schedulers so
+   GTO moves on instead of sticking to it. Top-level (not a per-cycle
    closure) so the issue stage allocates nothing on the steady path. *)
 let issueable t wid =
-  match t.warps.(wid) with
-  | Some w when not w.Engine.at_barrier -> (
-    match Queue.peek_opt w.Engine.ibuf with
-    | Some (pos, fc) ->
-      fc < t.cycle
-      &&
-      let idx = Record.idx w.Engine.trace pos in
-      scoreboard_ready w t.kinfo idx
-      (* structural memory gates (MSHR / replay port) hide the warp from
-         the schedulers so GTO moves on instead of sticking to it *)
-      && not (mem_struct_blocked t w idx)
-    | None -> false)
-  | _ -> false
+  match t.warps.(wid) with Some w -> head_ready t w | None -> false
 
 let pick_warp t sched =
   let cfg = t.cfg in
@@ -843,6 +835,14 @@ let note_exec_fate t (w : Engine.wctx) pos =
     in
     Obs.Ledger.note t.ledger ~pc:idx fate
 
+(* The fetch gate, written once for the fetch stage and the wake
+   calendar ([next_event_cycle]): the warp has I-buffer room and trace
+   left, and the engine leaves its gate open. *)
+let fetch_open t (w : Engine.wctx) =
+  Queue.length w.Engine.ibuf < t.cfg.Config.ibuf_depth
+  && (not (Engine.warp_done w))
+  && w.Engine.fetch_ok
+
 let fetch t =
   let cfg = t.cfg in
   t.fetch_mutated <- false;
@@ -854,12 +854,9 @@ let fetch t =
     while !fetched < cfg.Config.fetch_width && !scanned < nw do
       (match t.warps.(!ptr mod nw) with
       | Some w
-        when (not w.Engine.finished)
-             && (not w.Engine.at_barrier)
+        when (not w.Engine.at_barrier)
              && t.cycle >= w.Engine.fetch_ready_at
-             && Queue.length w.Engine.ibuf < cfg.Config.ibuf_depth
-             && (not (Engine.warp_done w))
-             && t.engine.Engine.can_fetch w -> begin
+             && fetch_open t w -> begin
         (* Fetch a bundle of up to [issue_width] sequential instructions
            from the selected warp in this one cycle (dual-issue
            superscalar fetch at 2). Every bundle slot independently
@@ -921,7 +918,7 @@ let fetch t =
                 !bundle_left > 0
                 && Queue.length w.Engine.ibuf < cfg.Config.ibuf_depth
                 && (not (Engine.warp_done w))
-                (* [can_fetch] is stale once [fi] moved: the follower
+                (* [fetch_ok] is stale once [fi] moved: the follower
                    slot must re-consult the engine at the new cursor, or
                    a warp could fetch past a branch sync it never
                    arrived at. *)
@@ -1003,145 +1000,84 @@ let charge_pc t bucket pc n =
       else Obs.Pcstat.charge_n p ~pc bucket ~n)
 
 let head_pc (w : Engine.wctx) =
-  match Queue.peek_opt w.Engine.ibuf with
-  | Some (pos, _) -> Record.idx w.Engine.trace pos
-  | None -> -1
+  if Queue.is_empty w.Engine.ibuf then -1
+  else Record.idx w.Engine.trace (fst (Queue.peek w.Engine.ibuf))
 
 let next_pc (w : Engine.wctx) =
   if Engine.warp_done w then -1 else Record.idx w.Engine.trace w.Engine.fi
 
-(* Classify one cycle into exactly one Attrib bucket, and name the static
-   instruction blocking progress (-1 = the none-row). Called at the end
-   of [step], so "aged" I-buffer heads (fetch_cycle < cycle) are exactly
-   the ones the issue stage considered and rejected this cycle. Pcstat
-   and Attrib are both fed from this single result, which is what makes
-   the per-PC table conservative by construction. *)
-(* The non-issuing-cycle half of the classification, shared by [step]
-   and the fast-forward bulk charge. Allocation-free: the old list
-   builds ([runnable], [aged_blocked]) are replaced by direct scans over
-   the warp array in the same order, so the chosen bucket and blocking
-   PC are identical. *)
+let warp_at t i = Option.get t.warps.(i)
+
+(* Classify one non-issuing cycle into exactly one Attrib bucket, and
+   name the static instruction blocking progress (-1 = the none-row).
+   Shared by [step] (at its end, so "aged" I-buffer heads, fetched
+   before this cycle, are exactly the ones the issue stage considered
+   and rejected) and the fast-forward bulk charge. Pcstat and Attrib are
+   both fed from this single result, which is what makes the per-PC
+   table conservative by construction.
+
+   One allocation-free pass in warp order over the live (not drained)
+   warps, stopping early at the first aged head the scoreboard holds
+   while its warp has memory ops in flight (Mem_pending). Otherwise the
+   cycle is Mem_pending or Idle with no live warp, Barrier when every
+   live warp waits at one, Mem_struct for the first aged head a
+   structural memory gate holds (looked for only when a fidelity knob
+   is on; the gate is constant false otherwise), Scoreboard for the
+   first aged head, Darsie_sync for the first warp the engine keeps
+   from fetching into an empty I-buffer, and Fetch_starved otherwise. *)
 let classify_stall t =
   let nw = Array.length t.warps in
-  let any_runnable = ref false in
-  let all_barrier = ref true in
-  let first_nonbarrier = ref (-1) in
-  for i = 0 to nw - 1 do
-    match t.warps.(i) with
+  let struct_gates = t.cfg.Config.mshrs > 0 || t.cfg.Config.smem_banks > 0 in
+  let live = ref false and first_nonbarrier = ref (-1) in
+  let first_aged = ref (-1) and struct_w = ref (-1) and gated = ref (-1) in
+  let mem_w = ref (-1) and i = ref 0 in
+  while !mem_w < 0 && !i < nw do
+    (match t.warps.(!i) with
     | Some w when not (warp_drained w) ->
-      any_runnable := true;
+      live := true;
       if not w.Engine.at_barrier then begin
-        all_barrier := false;
-        if !first_nonbarrier < 0 then first_nonbarrier := i
+        if !first_nonbarrier < 0 then first_nonbarrier := !i;
+        if Queue.is_empty w.Engine.ibuf then begin
+          if !gated < 0 && not w.Engine.fetch_ok then gated := !i
+        end
+        else begin
+          let pos, fetch_cycle = Queue.peek w.Engine.ibuf in
+          if fetch_cycle < t.cycle then begin
+            if !first_aged < 0 then first_aged := !i;
+            let idx = Record.idx w.Engine.trace pos in
+            if not (scoreboard_ready w t.kinfo idx) then begin
+              if w.Engine.mem_inflight > 0 then mem_w := !i
+            end
+            else if
+              struct_gates && !struct_w < 0 && mem_struct_blocked t w idx
+            then struct_w := !i
+          end
+        end
       end
-    | _ -> ()
+    | _ -> ());
+    incr i
   done;
-  if not !any_runnable then
+  if !mem_w >= 0 then
+    (Obs.Attrib.Mem_pending, nearest_inflight_pc ~w:(warp_at t !mem_w) t)
+  else if not !live then
     if t.inflight <> [] then (Obs.Attrib.Mem_pending, nearest_inflight_pc t)
     else (Obs.Attrib.Idle, -1)
-  else if !all_barrier then (Obs.Attrib.Barrier, t.last_barrier_pc)
-  else begin
-    (* Warps whose head instruction was old enough to issue but did not:
-       operand (scoreboard) or issue-resource blocked. *)
-    let first_aged = ref (-1) in
-    let i = ref 0 in
-    while !first_aged < 0 && !i < nw do
-      (match t.warps.(!i) with
-      | Some w when (not (warp_drained w)) && not w.Engine.at_barrier -> (
-        match Queue.peek_opt w.Engine.ibuf with
-        | Some (_, fc) when fc < t.cycle -> first_aged := !i
-        | _ -> ())
-      | _ -> ());
-      incr i
-    done;
-    if !first_aged >= 0 then begin
-      let mem_w = ref None in
-      let i = ref !first_aged in
-      while !mem_w = None && !i < nw do
-        (match t.warps.(!i) with
-        | Some w when (not (warp_drained w)) && not w.Engine.at_barrier -> (
-          match Queue.peek_opt w.Engine.ibuf with
-          | Some (pos, fc)
-            when fc < t.cycle
-                 && (not
-                       (scoreboard_ready w t.kinfo
-                          (Record.idx w.Engine.trace pos)))
-                 && w.Engine.mem_inflight > 0 ->
-            mem_w := Some w
-          | _ -> ())
-        | _ -> ());
-        incr i
-      done;
-      match !mem_w with
-      | Some w -> (Obs.Attrib.Mem_pending, nearest_inflight_pc ~w t)
-      | None ->
-        (* Structural memory gates (fidelity knobs): an aged head that
-           cleared the scoreboard but was held back by a full MSHR file
-           or the busy shared replay port. The scan is skipped entirely
-           at the default knob settings, where the gate is constant
-           false, so the classification is unchanged. *)
-        let struct_w = ref None in
-        if t.cfg.Config.mshrs > 0 || t.cfg.Config.smem_banks > 0 then begin
-          let i = ref !first_aged in
-          while !struct_w = None && !i < nw do
-            (match t.warps.(!i) with
-            | Some w when (not (warp_drained w)) && not w.Engine.at_barrier -> (
-              match Queue.peek_opt w.Engine.ibuf with
-              | Some (pos, fc)
-                when fc < t.cycle
-                     &&
-                     let idx = Record.idx w.Engine.trace pos in
-                     scoreboard_ready w t.kinfo idx
-                     && mem_struct_blocked t w idx ->
-                struct_w := Some (w, Record.idx w.Engine.trace pos)
-              | _ -> ())
-            | _ -> ());
-            incr i
-          done
-        end;
-        (match !struct_w with
-        | Some (w, idx) ->
-          (* blame the access occupying the port, or the nearest of the
-             warp's own in-flight misses holding its MSHRs *)
-          let pc =
-            match t.kinfo.Kinfo.unit_of.(idx) with
-            | Kinfo.Mem_shared -> t.smem_replay_pc
-            | _ -> nearest_inflight_pc ~w t
-          in
-          (Obs.Attrib.Mem_struct, pc)
-        | None ->
-          let pc =
-            match t.warps.(!first_aged) with
-            | Some w -> head_pc w
-            | None -> -1
-          in
-          (Obs.Attrib.Scoreboard, pc))
-    end
-    else begin
-      let gated = ref None in
-      let i = ref 0 in
-      while !gated = None && !i < nw do
-        (match t.warps.(!i) with
-        | Some w
-          when (not (warp_drained w))
-               && (not w.Engine.at_barrier)
-               && Queue.is_empty w.Engine.ibuf
-               && not (t.engine.Engine.can_fetch w) ->
-          gated := Some w
-        | _ -> ());
-        incr i
-      done;
-      match !gated with
-      | Some w -> (Obs.Attrib.Darsie_sync, next_pc w)
-      | None ->
-        let pc =
-          match t.warps.(!first_nonbarrier) with
-          | Some w -> (match head_pc w with -1 -> next_pc w | p -> p)
-          | None -> -1
-        in
-        (Obs.Attrib.Fetch_starved, pc)
-    end
+  else if !first_nonbarrier < 0 then (Obs.Attrib.Barrier, t.last_barrier_pc)
+  else if !struct_w >= 0 then begin
+    (* blame the access occupying the port, or the nearest of the warp's
+       own in-flight misses holding its MSHRs *)
+    let w = warp_at t !struct_w in
+    match t.kinfo.Kinfo.unit_of.(head_pc w) with
+    | Kinfo.Mem_shared -> (Obs.Attrib.Mem_struct, t.smem_replay_pc)
+    | _ -> (Obs.Attrib.Mem_struct, nearest_inflight_pc ~w t)
   end
+  else if !first_aged >= 0 then
+    (Obs.Attrib.Scoreboard, head_pc (warp_at t !first_aged))
+  else if !gated >= 0 then
+    (Obs.Attrib.Darsie_sync, next_pc (warp_at t !gated))
+  else
+    let w = warp_at t !first_nonbarrier in
+    (Obs.Attrib.Fetch_starved, match head_pc w with -1 -> next_pc w | p -> p)
 
 let classify_cycle t =
   if t.issue_slots_used > 0 then (Obs.Attrib.Active, t.active_pc)
@@ -1261,20 +1197,14 @@ let next_event_cycle t =
                   all_arrived := false;
                   (* issue side: every buffered head is aged by the next
                      cycle, so a scoreboard-ready head can issue then *)
-                  (match Queue.peek_opt w.Engine.ibuf with
-                  | Some (pos, _) ->
-                    if
-                      scoreboard_ready w t.kinfo
-                        (Record.idx w.Engine.trace pos)
-                    then note now1
-                  | None -> ());
-                  (* fetch side *)
                   if
-                    !wake > now1
-                    && Queue.length w.Engine.ibuf < t.cfg.Config.ibuf_depth
-                    && (not (Engine.warp_done w))
-                    && t.engine.Engine.can_fetch w
-                  then note (max now1 w.Engine.fetch_ready_at)
+                    (not (Queue.is_empty w.Engine.ibuf))
+                    && scoreboard_ready w t.kinfo
+                         (Record.idx w.Engine.trace
+                            (fst (Queue.peek w.Engine.ibuf)))
+                  then note now1;
+                  if !wake > now1 && fetch_open t w then
+                    note (max now1 w.Engine.fetch_ready_at)
                 end
               end);
             incr k

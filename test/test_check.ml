@@ -66,7 +66,12 @@ let test_exit_codes () =
    progress from cycle 0, which only the watchdog can catch. *)
 let stuck_factory ki cfg stats =
   let e = Engine.base_factory ki cfg stats in
-  { e with Engine.can_fetch = (fun _ -> false) }
+  {
+    e with
+    Engine.on_tb_launch =
+      (fun ~tb_slot:_ ~warps ->
+        Array.iter (fun w -> w.Engine.fetch_ok <- false) warps);
+  }
 
 let alu_kernel =
   {|

@@ -236,6 +236,22 @@ let test_fault_lost_updates () =
     Alcotest.fail "lost follower-skip updates must break conservation"
   | Error _ -> ()
 
+(* The one invariant helper the CLI, the checker and the fuzz
+   differential share must run the ledger check, not only attribution:
+   the lost-update engine's run holds attribution and fails the ledger. *)
+let test_invariants_catch_lost_updates () =
+  let clean = run_red () in
+  let faulty = run_red ~engine:decoy_factory () in
+  check_bool "clean run holds every invariant" true
+    (Gpu.check_invariants [ clean ] = None);
+  check_bool "the decoy run's attribution holds" true
+    (Gpu.check_attribution faulty = Ok ());
+  match Gpu.check_invariants [ clean; faulty ] with
+  | Some ("ledger", _) -> ()
+  | Some (kind, msg) ->
+    Alcotest.failf "expected a ledger failure, got %s: %s" kind msg
+  | None -> Alcotest.fail "lost follower-skip updates must fail the invariants"
+
 (* Misclassification fault: every really-executed eligible occurrence
    reports Skipped. Conservation still balances — the counts are wrong,
    not missing — so the detection signal is the diff against a clean
@@ -283,6 +299,8 @@ let () =
         [
           Alcotest.test_case "lost updates break conservation" `Quick
             test_fault_lost_updates;
+          Alcotest.test_case "invariant helper catches lost updates" `Quick
+            test_invariants_catch_lost_updates;
           Alcotest.test_case "misreported fate diverges from clean" `Quick
             test_fault_misreported_fate;
         ] );
