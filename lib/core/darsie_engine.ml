@@ -12,35 +12,43 @@ let name_of o =
   | false, true -> "DARSIE-NO-CF-SYNC"
   | true, true -> "DARSIE-IGNORE-STORE-NO-CF-SYNC"
 
+(* A branch sync, keyed in its TB's [syncs] by [sync_key]. *)
 type sync_entry = {
+  owner : slot_state;
   mutable arrived : int;
   mutable released : bool;
   mutable first_succ : int;
 }
 
-type slot_state = {
+and slot_state = {
   skip : Skip_table.t;
   majority : Majority.t;
-  syncs : (int * int, sync_entry) Hashtbl.t;  (* (branch pc, occ) *)
+  syncs : (int, sync_entry) Hashtbl.t;
   mutable open_syncs : int;  (* entries with arrivals, not yet released *)
   settled : int array;  (* per warp: cursor of its last no-op visit, or -1 *)
   mutable warps : Engine.wctx array;
   mutable bar_arrived : int;
 }
 
+(* (branch pc, occurrence) packed into one int; an occurrence count
+   stays below 2^32. *)
+let sync_key pc occ = (pc lsl 32) lor occ
+
 let warp_drained (w : Engine.wctx) =
-  Engine.warp_done w && Queue.is_empty w.Engine.ibuf
+  Engine.warp_done w && w.Engine.ib_count = 0
 
 (* Warps still producing work: a finished warp must not gate
    synchronization or register freeing. *)
 let alive_mask slot =
-  Array.fold_left
-    (fun acc (w : Engine.wctx) ->
-      if Engine.warp_done w then acc else acc lor (1 lsl w.Engine.warp_in_tb))
-    0 slot.warps
+  let m = ref 0 in
+  for k = 0 to Array.length slot.warps - 1 do
+    let w = slot.warps.(k) in
+    if w.Engine.fi < w.Engine.len then m := !m lor (1 lsl w.Engine.warp_in_tb)
+  done;
+  !m
 
 let successor_of (w : Engine.wctx) =
-  if w.Engine.fi + 1 < Record.length w.Engine.trace then
+  if w.Engine.fi + 1 < w.Engine.len then
     Record.idx w.Engine.trace (w.Engine.fi + 1)
   else -1
 
@@ -217,119 +225,90 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
     slot.settled.(w.Engine.warp_in_tb) <- w.Engine.fi;
     set_ok w true
   in
-  let process_warp slot (w : Engine.wctx) =
+  (* Built once per engine, like every function the skip phase calls,
+     so a visit allocates no closure. *)
+  let rec go slot (w : Engine.wctx) chain =
     let win = w.Engine.warp_in_tb in
-    slot.settled.(win) <- -1;
-    let rec go chain =
-      if Engine.warp_done w then settle slot w
-      else begin
-        let idx = Record.idx w.Engine.trace w.Engine.fi in
-        if kinfo.Kinfo.is_barrier.(idx) then settle slot w
-        else if
-          Record.active w.Engine.trace w.Engine.fi land full_mask <> full_mask
-          && Majority.on_path slot.majority win
-        then begin
-          (* Intra-warp SIMD divergence: leave the majority path (§4.5). *)
-          drop_from_majority ~reason:1 slot w;
+    if w.Engine.fi >= w.Engine.len then settle slot w
+    else begin
+      let idx = Record.idx w.Engine.trace w.Engine.fi in
+      if kinfo.Kinfo.is_barrier.(idx) then settle slot w
+      else if
+        Record.active w.Engine.trace w.Engine.fi land full_mask <> full_mask
+        && Majority.on_path slot.majority win
+      then begin
+        (* Intra-warp SIMD divergence: leave the majority path (§4.5). *)
+        drop_from_majority ~reason:1 slot w;
+        set_ok w true
+      end
+      else if not (Majority.on_path slot.majority win) then settle slot w
+      else if kinfo.Kinfo.is_branch.(idx) then begin
+        let key = sync_key idx (Record.occ w.Engine.trace w.Engine.fi) in
+        let entry =
+          match Hashtbl.find slot.syncs key with
+          | e -> e
+          | exception Not_found ->
+            mutated ();
+            let e =
+              {
+                owner = slot;
+                arrived = 0;
+                released = false;
+                first_succ = successor_of w;
+              }
+            in
+            Hashtbl.add slot.syncs key e;
+            e
+        in
+        if options.no_cf_sync then begin
+          (* Idealized: no stall; deviation from the first arrival's
+             path drops the warp from the majority. *)
+          if successor_of w <> entry.first_succ then
+            drop_from_majority ~reason:2 slot w;
           set_ok w true
         end
-        else if not (Majority.on_path slot.majority win) then settle slot w
-        else if kinfo.Kinfo.is_branch.(idx) then begin
-          let key = (idx, Record.occ w.Engine.trace w.Engine.fi) in
-          let entry =
-            match Hashtbl.find_opt slot.syncs key with
-            | Some e -> e
-            | None ->
-              mutated ();
-              let e =
-                { arrived = 0; released = false; first_succ = successor_of w }
-              in
-              Hashtbl.add slot.syncs key e;
-              e
-          in
-          if options.no_cf_sync then begin
-            (* Idealized: no stall; deviation from the first arrival's
-               path drops the warp from the majority. *)
-            if successor_of w <> entry.first_succ then
-              drop_from_majority ~reason:2 slot w;
+        else if entry.released then set_ok w true
+        else begin
+          let arrived' = entry.arrived lor (1 lsl win) in
+          if arrived' <> entry.arrived then begin
+            mutated ();
+            if entry.arrived = 0 then slot.open_syncs <- slot.open_syncs + 1;
+            entry.arrived <- arrived'
+          end;
+          let majority = effective_majority slot in
+          if entry.arrived land majority = majority then begin
+            release_sync slot entry;
             set_ok w true
           end
-          else if entry.released then set_ok w true
           else begin
-            let arrived' = entry.arrived lor (1 lsl win) in
-            if arrived' <> entry.arrived then begin
-              mutated ();
-              if entry.arrived = 0 then slot.open_syncs <- slot.open_syncs + 1;
-              entry.arrived <- arrived'
-            end;
-            let majority = effective_majority slot in
-            if entry.arrived land majority = majority then begin
-              release_sync slot entry;
-              set_ok w true
-            end
-            else begin
-              stats.Stats.darsie_sync_stalls <-
-                stats.Stats.darsie_sync_stalls + 1;
-              set_ok w false
-            end
+            stats.Stats.darsie_sync_stalls <-
+              stats.Stats.darsie_sync_stalls + 1;
+            set_ok w false
           end
         end
-        else if kinfo.Kinfo.tb_redundant.(idx) then begin
-          (* PC coalescer: a bounded number of distinct skip PCs are
-             serviced per cycle; chained skips ride the +8 adders, and
-             warps already parked in an entry's waiting bitmask are woken
-             for free. *)
-          let is_parked = w.Engine.parked_at = w.Engine.fi in
-          let port_ok =
-            chain > 0 || is_parked || probed idx
-            || !n_probed < cfg.Config.coalescer_ports
-          in
-          if not port_ok then set_ok w false
-          else begin
-            if (not is_parked) && not (probed idx) then begin
-              probe_mark.(idx) <- !probe_gen;
-              incr n_probed;
-              stats.Stats.coalescer_probes <- stats.Stats.coalescer_probes + 1
-            end;
-            if not is_parked then
-              stats.Stats.skip_table_probes <- stats.Stats.skip_table_probes + 1;
-            let occ = Record.occ w.Engine.trace w.Engine.fi in
-            match Skip_table.find slot.skip ~pc:idx ~occ with
-            | Some inst when inst.Skip_table.leader = win ->
-              (* The leader executes its own instruction. *)
-              unpark w;
-              set_ok w true
-            | Some inst when inst.Skip_table.leader_wb || options.no_cf_sync ->
-              (* Follower skip: PC += 8, remap the register version. The
-                 occurrence's ledger fate is decided here: a warp that had
-                 parked for LeaderWB resolves as parked-then-skipped, an
-                 immediate hit as a plain skip. Skips always mutate state,
-                 so this site is never replayed by a fast-forwarded span. *)
-              mutated ();
-              note_fate idx
-                (if is_parked then Darsie_obs.Ledger.Parked_waiting_leaderwb
-                 else Darsie_obs.Ledger.Skipped);
-              unpark w;
-              w.Engine.gave_up_at <- -1;
-              w.Engine.fi <- w.Engine.fi + 1;
-              stats.Stats.skipped_prefetch <- stats.Stats.skipped_prefetch + 1;
-              stats.Stats.rename_accesses <- stats.Stats.rename_accesses + 1;
-              elim_shape idx;
-              Skip_table.mark_passed slot.skip ~pc:idx ~occ ~warp:win
-                ~majority:(effective_majority slot);
-              clear_stall w;
-              if chain + 1 < cfg.Config.max_skips_per_warp_cycle then
-                go (chain + 1)
-              else set_ok w false
-            | Some _ ->
-              (* Follower parks in the warps-waiting bitmask until
-                 LeaderWB (§4.3.2, field 5). *)
-              park w;
-              note_park idx;
-              stats.Stats.darsie_sync_stalls <-
-                stats.Stats.darsie_sync_stalls + 1;
-              set_ok w false
-            | None ->
+      end
+      else if kinfo.Kinfo.tb_redundant.(idx) then begin
+        (* PC coalescer: a bounded number of distinct skip PCs are
+           serviced per cycle; chained skips ride the +8 adders, and
+           warps already parked in an entry's waiting bitmask are woken
+           for free. *)
+        let is_parked = w.Engine.parked_at = w.Engine.fi in
+        let port_ok =
+          chain > 0 || is_parked || probed idx
+          || !n_probed < cfg.Config.coalescer_ports
+        in
+        if not port_ok then set_ok w false
+        else begin
+          if (not is_parked) && not (probed idx) then begin
+            probe_mark.(idx) <- !probe_gen;
+            incr n_probed;
+            stats.Stats.coalescer_probes <- stats.Stats.coalescer_probes + 1
+          end;
+          if not is_parked then
+            stats.Stats.skip_table_probes <- stats.Stats.skip_table_probes + 1;
+          let occ = Record.occ w.Engine.trace w.Engine.fi in
+          let inst = Skip_table.lookup slot.skip ~pc:idx ~occ in
+          if inst == Skip_table.absent then begin
               if not (Skip_table.has_entry_slot slot.skip ~pc:idx) then begin
                 (* Table full: execute normally, no skipping. *)
                 unpark w;
@@ -365,11 +344,66 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
                 set_ok w true
               end
           end
+          else if inst.Skip_table.leader = win then begin
+            (* The leader executes its own instruction. *)
+            unpark w;
+            set_ok w true
+          end
+          else if inst.Skip_table.leader_wb || options.no_cf_sync then begin
+            (* Follower skip: PC += 8, remap the register version. The
+               occurrence's ledger fate is decided here: a warp that had
+               parked for LeaderWB resolves as parked-then-skipped, an
+               immediate hit as a plain skip. Skips always mutate state,
+               so this site is never replayed by a fast-forwarded span. *)
+            mutated ();
+            note_fate idx
+              (if is_parked then Darsie_obs.Ledger.Parked_waiting_leaderwb
+               else Darsie_obs.Ledger.Skipped);
+            unpark w;
+            w.Engine.gave_up_at <- -1;
+            w.Engine.fi <- w.Engine.fi + 1;
+            stats.Stats.skipped_prefetch <- stats.Stats.skipped_prefetch + 1;
+            stats.Stats.rename_accesses <- stats.Stats.rename_accesses + 1;
+            elim_shape idx;
+            Skip_table.mark_passed slot.skip ~pc:idx ~occ ~warp:win
+              ~majority:(effective_majority slot);
+            clear_stall w;
+            if chain + 1 < cfg.Config.max_skips_per_warp_cycle then
+              go slot w (chain + 1)
+            else set_ok w false
+          end
+          else begin
+            (* Follower parks in the warps-waiting bitmask until
+               LeaderWB (§4.3.2, field 5). *)
+            park w;
+            note_park idx;
+            stats.Stats.darsie_sync_stalls <-
+              stats.Stats.darsie_sync_stalls + 1;
+            set_ok w false
+          end
         end
-        else settle slot w
       end
-    in
-    go 0
+      else settle slot w
+    end
+  and process_warp slot (w : Engine.wctx) =
+    slot.settled.(w.Engine.warp_in_tb) <- -1;
+    go slot w 0
+  in
+  (* Release a branch sync that completed since last cycle (e.g. the
+     majority shrank). *)
+  let release_ready _ e =
+    if (not e.released) && e.arrived <> 0 then begin
+      let majority = effective_majority e.owner in
+      if e.arrived land majority = majority then release_sync e.owner e
+    end
+  in
+  let visit_tb _ slot =
+    if slot.open_syncs > 0 then Hashtbl.iter release_ready slot.syncs;
+    for k = 0 to Array.length slot.warps - 1 do
+      let w = slot.warps.(k) in
+      if w.Engine.fi <> slot.settled.(w.Engine.warp_in_tb) then
+        process_warp slot w
+    done
   in
   let last_skip_steady = ref false in
   let cycle_skip ~cycle =
@@ -378,24 +412,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
     incr probe_gen;
     n_probed := 0;
     (* TB visit order picks who gets the coalescer ports; digests pin it. *)
-    Hashtbl.iter
-      (fun _ slot ->
-        (* Release branch syncs that completed since last cycle (e.g. the
-           majority shrank). *)
-        if slot.open_syncs > 0 then
-          Hashtbl.iter
-            (fun _ e ->
-              if (not e.released) && e.arrived <> 0 then begin
-                let majority = effective_majority slot in
-                if e.arrived land majority = majority then release_sync slot e
-              end)
-            slot.syncs;
-        Array.iter
-          (fun (w : Engine.wctx) ->
-            if w.Engine.fi <> slot.settled.(w.Engine.warp_in_tb) then
-              process_warp slot w)
-          slot.warps)
-      slots;
+    Hashtbl.iter visit_tb slots;
     last_skip_steady := not !state_mutated
   in
   (* Charge [n] skipped skip-phase executions in one call. Sound only
@@ -549,11 +566,10 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
             w.Engine.gave_up_at <- -1;
             Darsie_obs.Ledger.Freelist_stall
           end
-          else
-            match Skip_table.find slot.skip ~pc:idx ~occ with
-            | Some inst when inst.Skip_table.leader = win ->
-              Darsie_obs.Ledger.Leader_executed
-            | Some _ | None -> Darsie_obs.Ledger.Evicted_capacity))
+          else if
+            (Skip_table.lookup slot.skip ~pc:idx ~occ).Skip_table.leader = win
+          then Darsie_obs.Ledger.Leader_executed
+          else Darsie_obs.Ledger.Evicted_capacity))
   in
   let on_tb_launch ~tb_slot ~warps =
     let slot =

@@ -31,9 +31,9 @@ module Telemetry = struct
   let now t = t.now
 
   let cell t pc =
-    match Itbl.find_opt t.cells pc with
-    | Some c -> c
-    | None ->
+    match Itbl.find t.cells pc with
+    | c -> c
+    | exception Not_found ->
       let c =
         {
           allocs = 0;
@@ -107,27 +107,35 @@ let create ~max_entries ~rename_regs =
 let attach_telemetry t tel = t.telemetry <- Some tel
 
 (* Telemetry bumps; all no-ops when no telemetry is attached. *)
-let tel_do t f = match t.telemetry with None -> () | Some tel -> f tel
-
 let tel_free t pc (i : instance) kind =
-  tel_do t (fun tel ->
-      let c = Telemetry.cell tel pc in
-      c.Telemetry.lifetime <-
-        c.Telemetry.lifetime + max 0 (Telemetry.now tel - i.born);
-      match kind with
-      | `Swept -> ()
-      | `Load_flush -> c.Telemetry.load_flushes <- c.Telemetry.load_flushes + 1
-      | `Barrier_flush ->
-        c.Telemetry.barrier_flushes <- c.Telemetry.barrier_flushes + 1)
+  match t.telemetry with
+  | None -> ()
+  | Some tel -> (
+    let c = Telemetry.cell tel pc in
+    c.Telemetry.lifetime <-
+      c.Telemetry.lifetime + max 0 (Telemetry.now tel - i.born);
+    match kind with
+    | `Swept -> ()
+    | `Load_flush -> c.Telemetry.load_flushes <- c.Telemetry.load_flushes + 1
+    | `Barrier_flush ->
+      c.Telemetry.barrier_flushes <- c.Telemetry.barrier_flushes + 1)
+
+let absent =
+  { occ = -1; leader = -1; leader_wb = false; done_mask = 0; mem_dep = false;
+    born = 0 }
 
 let rec find_occ occ = function
-  | [] -> None
-  | i :: rest -> if i.occ = occ then Some i else find_occ occ rest
+  | [] -> absent
+  | i :: rest -> if i.occ = occ then i else find_occ occ rest
+
+let lookup t ~pc ~occ =
+  match Itbl.find t.table pc with
+  | e -> find_occ occ e.instances
+  | exception Not_found -> absent
 
 let find t ~pc ~occ =
-  match Itbl.find_opt t.table pc with
-  | None -> None
-  | Some e -> find_occ occ e.instances
+  let i = lookup t ~pc ~occ in
+  if i == absent then None else Some i
 
 let has_free_reg t = t.free > 0
 
@@ -139,7 +147,7 @@ let can_allocate t ~pc = has_entry_slot t ~pc && has_free_reg t
 let allocate t ~pc ~occ ~leader ~mem_dep =
   if not (can_allocate t ~pc) then
     invalid_arg "Skip_table.allocate: table or freelist exhausted";
-  if find t ~pc ~occ <> None then
+  if lookup t ~pc ~occ != absent then
     invalid_arg "Skip_table.allocate: instance already live";
   let born =
     match t.telemetry with Some tel -> Telemetry.now tel | None -> 0
@@ -151,40 +159,51 @@ let allocate t ~pc ~occ ~leader ~mem_dep =
   | Some e -> e.instances <- inst :: e.instances
   | None -> Itbl.add t.table pc { pc; instances = [ inst ] });
   t.free <- t.free - 1;
-  tel_do t (fun tel ->
-      let c = Telemetry.cell tel pc in
-      c.Telemetry.allocs <- c.Telemetry.allocs + 1)
+  match t.telemetry with
+  | None -> ()
+  | Some tel ->
+    let c = Telemetry.cell tel pc in
+    c.Telemetry.allocs <- c.Telemetry.allocs + 1
 
 (* Free instances whose value is no longer needed: the leader has written
    back and every warp currently on the majority path has passed. *)
 let freeable majority i = i.leader_wb && majority land lnot i.done_mask = 0
 
+let rec any_freeable majority = function
+  | [] -> false
+  | i :: rest -> freeable majority i || any_freeable majority rest
+
 let sweep_entry t majority e =
-  let live, dead = List.partition (fun i -> not (freeable majority i)) e.instances in
-  t.free <- t.free + List.length dead;
-  List.iter (fun i -> tel_free t e.pc i `Swept) dead;
-  e.instances <- live;
-  if live = [] then Itbl.remove t.table e.pc
+  if any_freeable majority e.instances then begin
+    let live, dead =
+      List.partition (fun i -> not (freeable majority i)) e.instances
+    in
+    t.free <- t.free + List.length dead;
+    List.iter (fun i -> tel_free t e.pc i `Swept) dead;
+    e.instances <- live;
+    if live = [] then Itbl.remove t.table e.pc
+  end
 
 let sweep t ~pc ~majority =
-  match Itbl.find_opt t.table pc with
-  | None -> ()
-  | Some e -> sweep_entry t majority e
+  match Itbl.find t.table pc with
+  | e -> sweep_entry t majority e
+  | exception Not_found -> ()
 
 let mark_writeback t ~pc ~occ ~majority =
-  (match find t ~pc ~occ with
-  | Some i -> i.leader_wb <- true
-  | None -> ());
+  let i = lookup t ~pc ~occ in
+  if i != absent then i.leader_wb <- true;
   sweep t ~pc ~majority
 
 let mark_passed t ~pc ~occ ~warp ~majority =
-  (match find t ~pc ~occ with
-  | Some i ->
+  let i = lookup t ~pc ~occ in
+  if i != absent then begin
     i.done_mask <- i.done_mask lor (1 lsl warp);
-    tel_do t (fun tel ->
-        let c = Telemetry.cell tel pc in
-        c.Telemetry.hits <- c.Telemetry.hits + 1)
-  | None -> ());
+    match t.telemetry with
+    | None -> ()
+    | Some tel ->
+      let c = Telemetry.cell tel pc in
+      c.Telemetry.hits <- c.Telemetry.hits + 1
+  end;
   sweep t ~pc ~majority
 
 let recheck t ~majority =

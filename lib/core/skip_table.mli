@@ -55,7 +55,16 @@ val attach_telemetry : t -> Telemetry.t -> unit
 (** Attach a (possibly shared) telemetry block; without one, all
     telemetry accounting is off. Attach before the first {!allocate}. *)
 
+val absent : instance
+(** The instance {!lookup} returns when there is none; compare with [==]
+    and never mutate it. *)
+
+val lookup : t -> pc:int -> occ:int -> instance
+(** The live instance for (pc, occurrence), or {!absent}; allocates
+    nothing. *)
+
 val find : t -> pc:int -> occ:int -> instance option
+(** {!lookup} as an option. *)
 
 val can_allocate : t -> pc:int -> bool
 (** True when a new instance at [pc] could be created: the PC already has

@@ -74,7 +74,16 @@ let replay_command ?cfg ?deadline ~machines ~scale ~oracle ~inject ~seed abbr =
            Printf.sprintf " --watchdog %d" cfg.C.watchdog_cycles
          else "");
         (if not cfg.C.fast_forward then " --no-fast-forward" else "");
-      ])
+      ]
+    @ List.map
+        (fun (flag, get) ->
+          if get cfg = get d then ""
+          else Printf.sprintf " --%s %d" flag (get cfg))
+        [
+          ("issue-width", fun c -> c.C.issue_width);
+          ("mshrs", fun c -> c.C.mshrs);
+          ("smem-banks", fun c -> c.C.smem_banks);
+        ])
 
 let check_app ?cfg ?(scale = 1) ?(machines = default_machines) ?(oracle = true)
     ?(inject = 0) ?(seed = 1) ?deadline ?cache (w : W.t) =

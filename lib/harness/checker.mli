@@ -32,7 +32,8 @@ type app_report = {
   elapsed_s : float;  (** wall-clock seconds spent on this app *)
   replay : string;
       (** the exact [darsie check] command line that re-runs this app's
-          checks in isolation (scale/oracle/injection flags included);
+          checks in isolation (scale/oracle/injection flags and every
+          non-default machine knob included);
           printed under every failing app so a suite failure is
           reproducible by copy-paste *)
 }

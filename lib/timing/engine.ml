@@ -4,8 +4,15 @@ type wctx = {
   tb_id : int;
   warp_in_tb : int;
   trace : Darsie_trace.Record.warp;
+  len : int;
   mutable fi : int;
-  ibuf : (int * int) Queue.t;
+  (* The I-buffer: a ring of [Config.ibuf_depth] fetched ops, as three
+     parallel arrays (trace position, fetch cycle, static index). *)
+  ib_pos : int array;
+  ib_cycle : int array;
+  ib_idx : int array;
+  mutable ib_head : int;
+  mutable ib_count : int;
   pending : int array;
   mutable pending_count : int;
   mutable at_barrier : bool;
@@ -27,7 +34,7 @@ type wctx = {
   mutable gave_up_at : int;
 }
 
-let warp_done w = w.fi >= Darsie_trace.Record.length w.trace
+let warp_done w = w.fi >= w.len
 
 type issue_decision = Execute | Drop
 

@@ -23,9 +23,17 @@ type wctx = {
   tb_id : int;  (** global threadblock index *)
   warp_in_tb : int;
   trace : Darsie_trace.Record.warp;
+  len : int;  (** the trace's length: [Record.length trace] *)
   mutable fi : int;  (** next trace position to fetch *)
-  ibuf : (int * int) Queue.t;
-      (** fetched (trace position, fetch_cycle) pairs awaiting issue *)
+  ib_pos : int array;
+  ib_cycle : int array;
+  ib_idx : int array;
+      (** the I-buffer of fetched ops awaiting issue: a ring of
+          [Config.ibuf_depth] slots in three parallel arrays (trace
+          position, fetch cycle, static instruction index, so issue need
+          not decode the trace again) *)
+  mutable ib_head : int;  (** slot of the oldest buffered op *)
+  mutable ib_count : int;  (** buffered ops; [0] when the I-buffer is empty *)
   pending : int array;  (** scoreboard: outstanding writes per vreg *)
   mutable pending_count : int;
   mutable at_barrier : bool;
@@ -34,7 +42,7 @@ type wctx = {
   mutable mem_inflight : int;
       (** in-flight memory operations issued by this warp and not yet
           written back; maintained by the SM so stall classification
-          needs no scan over the in-flight list *)
+          needs no scan over the in-flight ops *)
   mutable mshr_used : int;
       (** miss-status holding registers this warp occupies: one per
           L1-missed line still in flight, released (out of order) at
@@ -65,7 +73,7 @@ type wctx = {
 }
 
 val warp_done : wctx -> bool
-(** Trace exhausted and nothing left in flight for fetch purposes. *)
+(** The trace cursor reached [len]: nothing is left to fetch. *)
 
 type issue_decision = Execute | Drop
 

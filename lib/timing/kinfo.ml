@@ -15,9 +15,8 @@ type t = {
   mem_dep : bool array;
   is_store : bool array;
   is_atomic : bool array;
-  src_regs : int list array;
+  src_regs : int array array;
   dst_reg : int option array;
-  nsrcs : int array;
   tb_redundant : bool array;
   dac_removable : bool array;
   uv_eligible : bool array;
@@ -54,9 +53,8 @@ let of_promotion (promotion : Promotion.t) (launch : Kernel.launch) =
     mem_dep = Array.init n (Analysis.mem_dep analysis);
     is_store = Array.map Instr.is_store insts;
     is_atomic = Array.map Instr.is_atomic insts;
-    src_regs = Array.map Instr.src_regs insts;
+    src_regs = Array.map (fun i -> Array.of_list (Instr.src_regs i)) insts;
     dst_reg = Array.map Instr.dst_reg insts;
-    nsrcs = Array.map (fun i -> List.length (Instr.src_regs i)) insts;
     tb_redundant = promotion.Promotion.tb_redundant;
     dac_removable = promotion.Promotion.dac_removable;
     uv_eligible = promotion.Promotion.uv_eligible;

@@ -19,9 +19,9 @@ type t = {
           store/atomic invalidates in the skip table *)
   is_store : bool array;
   is_atomic : bool array;
-  src_regs : int list array;
+  src_regs : int array array;
+      (** vector source registers; their count is the RF read ports used *)
   dst_reg : int option array;
-  nsrcs : int array;  (** vector source operand count (RF read ports used) *)
   tb_redundant : bool array;  (** DARSIE-skippable after promotion *)
   dac_removable : bool array;
   uv_eligible : bool array;

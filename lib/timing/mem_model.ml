@@ -85,27 +85,24 @@ module L1 = struct
       tick = 0;
     }
 
-  let locate t addr =
-    let line_id = addr / t.line in
-    let set = line_id mod t.nsets in
-    let tag = line_id / t.nsets in
-    (t.sets.(set), tag)
+  let set_of t addr = t.sets.(addr / t.line mod t.nsets)
+
+  let tag_of t addr = addr / t.line / t.nsets
 
   let probe t addr =
-    let set, tag = locate t addr in
-    Array.exists (fun x -> x = tag) set.tags
+    let tag = tag_of t addr in
+    Array.exists (fun x -> x = tag) (set_of t addr).tags
 
   let access t addr =
     t.tick <- t.tick + 1;
-    let set, tag = locate t addr in
+    let set = set_of t addr and tag = tag_of t addr in
     let hit = ref false in
-    Array.iteri
-      (fun i x ->
-        if x = tag then begin
-          hit := true;
-          set.last_use.(i) <- t.tick
-        end)
-      set.tags;
+    for i = 0 to t.assoc - 1 do
+      if set.tags.(i) = tag then begin
+        hit := true;
+        set.last_use.(i) <- t.tick
+      end
+    done;
     if not !hit then begin
       (* LRU victim *)
       let victim = ref 0 in

@@ -118,7 +118,7 @@ val commit_epoch : dram:Mem_model.Dram.t -> t array -> int
     queue, replay the requests against [dram] in canonical (cycle, SM
     index, issue sequence) order — the order the channel would see if
     every SM stepped every cycle in index order — patch the placeholder
-    completions of the affected in-flight records, note each patched
+    completions of the affected in-flight ops, note each patched
     load's latency in the per-PC profile, and restore each SM's
     earliest-writeback bound. Sound because the epoch length never
     exceeds [l1_lat + dram_lat], so no deferred request can complete

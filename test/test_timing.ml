@@ -501,6 +501,48 @@ let test_engine_remove_at_fetch () =
   check_int "alu removed pre-fetch" (6 * 2 * 4) r.Gpu.stats.Stats.skipped_prefetch;
   check_int "exit still issues" (2 * 4) r.Gpu.stats.Stats.issued
 
+(* The SM cross-checks its per-slot barrier counter against the warps'
+   [at_barrier] flags. An engine that parks a warp at a barrier behind
+   the SM's back must trip that check, not hang until the watchdog
+   fires. *)
+let test_barrier_count_checked () =
+  let rogue : Engine.factory =
+   fun _ _ _ ->
+    let fired = ref false in
+    {
+      (Engine.base ()) with
+      Engine.on_writeback =
+        (fun ~cycle:_ w _ ->
+          if not !fired then begin
+            fired := true;
+            w.Engine.at_barrier <- true
+          end);
+    }
+  in
+  match run_timing ~engine:rogue alu_kernel [||] with
+  | _ -> Alcotest.fail "the run ended without tripping the barrier check"
+  | exception Assert_failure _ -> ()
+
+(* The cycle loop allocates next to nothing per simulated op: what
+   [Gpu.run] of MM at scale 1 allocates, set-up and per-TB launch
+   included, stays within 16 minor words per trace op on BASE and on
+   DARSIE. *)
+let test_cycle_loop_allocation () =
+  let module Suite = Darsie_harness.Suite in
+  let app = Suite.load_app (Option.get (Darsie_workloads.Registry.find "MM")) in
+  let ops = Darsie_trace.Record.total_ops app.Suite.trace in
+  List.iter
+    (fun machine ->
+      let cfg, factory = Suite.setup machine in
+      let before = Gc.minor_words () in
+      ignore (Gpu.run_exn ~cfg factory app.Suite.kinfo app.Suite.trace);
+      let per_op = (Gc.minor_words () -. before) /. float_of_int ops in
+      check_bool
+        (Printf.sprintf "%s: %.1f minor words per trace op"
+           (Suite.machine_name machine) per_op)
+        true (per_op <= 16.))
+    [ Suite.Base; Suite.Darsie ]
+
 let () =
   Alcotest.run "darsie_timing"
     [
@@ -513,6 +555,8 @@ let () =
             test_mem_model_allocates_nothing;
           Alcotest.test_case "l1" `Quick test_l1;
           Alcotest.test_case "dram" `Quick test_dram;
+          Alcotest.test_case "cycle loop allocation" `Quick
+            test_cycle_loop_allocation;
         ] );
       ( "static",
         [
@@ -539,5 +583,7 @@ let () =
         [
           Alcotest.test_case "drop at issue" `Quick test_engine_drop_at_issue;
           Alcotest.test_case "remove at fetch" `Quick test_engine_remove_at_fetch;
+          Alcotest.test_case "barrier count checked" `Quick
+            test_barrier_count_checked;
         ] );
     ]
