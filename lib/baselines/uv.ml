@@ -1,58 +1,52 @@
 open Darsie_timing
 open Darsie_trace
 
-type buf_slot = { occ : int; mutable ready : bool }
-
 let factory : Engine.factory =
- fun kinfo _cfg stats ->
-  (* (tb_slot, pc) -> reuse-buffer slot *)
-  let buffer : (int * int, buf_slot) Hashtbl.t = Hashtbl.create 256 in
+ fun kinfo cfg _stats ->
+  let n = Array.length kinfo.Kinfo.kernel.Darsie_isa.Kernel.insts in
+  (* Per TB slot, allocated at the slot's first launch: the reuse buffer,
+     one entry per static instruction, [occ lsl 1 lor ready] for the
+     dynamic occurrence it holds (ready once written back), or [-1] when
+     empty. *)
+  let buffers = Array.make (max 1 cfg.Config.max_tbs_per_sm) [||] in
+  let on_tb_launch ~tb_slot ~warps:_ =
+    if Array.length buffers.(tb_slot) < n then
+      buffers.(tb_slot) <- Array.make n (-1)
+  in
   let on_issue ~cycle:_ (w : Engine.wctx) i =
     let idx = Record.idx w.Engine.trace i in
     if not kinfo.Kinfo.uv_eligible.(idx) then Engine.Execute
     else begin
-      let key = (w.Engine.tb_slot, idx) in
+      let b = buffers.(w.Engine.tb_slot) in
       let occ = Record.occ w.Engine.trace i in
-      match Hashtbl.find_opt buffer key with
-      | Some slot when slot.occ = occ && slot.ready -> Engine.Drop
-      | Some slot when slot.occ = occ ->
-        (* Value still in flight: reuse-buffer miss, execute normally. *)
+      if b.(idx) asr 1 <> occ then begin
+        b.(idx) <- occ lsl 1;
         Engine.Execute
-      | _ ->
-        Hashtbl.replace buffer key { occ; ready = false };
+      end
+      else if b.(idx) land 1 = 1 then Engine.Drop
+      else
+        (* Value still in flight: reuse-buffer miss, execute normally. *)
         Engine.Execute
     end
   in
   let on_writeback ~cycle:_ (w : Engine.wctx) i =
     let idx = Record.idx w.Engine.trace i in
-    if kinfo.Kinfo.uv_eligible.(idx) then
-      match Hashtbl.find_opt buffer (w.Engine.tb_slot, idx) with
-      | Some slot when slot.occ = Record.occ w.Engine.trace i ->
-        slot.ready <- true
-      | _ -> ()
+    let b = buffers.(w.Engine.tb_slot) in
+    if
+      kinfo.Kinfo.uv_eligible.(idx)
+      && b.(idx) asr 1 = Record.occ w.Engine.trace i
+    then b.(idx) <- b.(idx) lor 1
   in
-  let on_tb_finish ~tb_slot =
-    Hashtbl.iter
-      (fun (s, pc) _ -> if s = tb_slot then Hashtbl.remove buffer (s, pc))
-      (Hashtbl.copy buffer)
+  let filled acc b =
+    Array.fold_left (fun acc e -> if e >= 0 then acc + 1 else acc) acc b
   in
-  ignore stats;
   {
+    (Engine.base ()) with
     Engine.name = "UV";
-    cycle_skip = (fun ~cycle:_ -> ());
-    skip_reads_warp_state = false;
-    skip_steady = (fun () -> true);
-    bulk_skip = (fun ~cycle:_ ~n:_ -> ());
-    on_fast_forward = (fun ~cycle:_ -> ());
-    recheck_fetch = (fun _ -> true);
-    remove_at_fetch = (fun _ _ -> false);
     on_issue;
     on_writeback;
-    on_store = (fun ~atomic:_ _ -> ());
-    exec_fate = (fun _ _ -> Darsie_obs.Ledger.Skip_disabled);
-    set_ledger = (fun _ -> ());
-    on_tb_launch = (fun ~tb_slot:_ ~warps:_ -> ());
-    on_tb_finish;
-    debug_state = (fun () -> [ ("reuse_buffer_slots", Hashtbl.length buffer) ]);
-    pc_telemetry = (fun () -> []);
+    on_tb_launch;
+    on_tb_finish = (fun ~tb_slot -> Array.fill buffers.(tb_slot) 0 n (-1));
+    debug_state =
+      (fun () -> [ ("reuse_buffer_slots", Array.fold_left filled 0 buffers) ]);
   }

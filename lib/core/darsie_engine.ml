@@ -127,15 +127,6 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
       w.Engine.skip_stall <- 0
     end
   in
-  let elim_shape idx =
-    match kinfo.Kinfo.shape.(idx) with
-    | Darsie_compiler.Marking.Uniform ->
-      stats.Stats.elim_uniform <- stats.Stats.elim_uniform + 1
-    | Darsie_compiler.Marking.Affine ->
-      stats.Stats.elim_affine <- stats.Stats.elim_affine + 1
-    | Darsie_compiler.Marking.Unstructured | Darsie_compiler.Marking.Varying ->
-      stats.Stats.elim_unstructured <- stats.Stats.elim_unstructured + 1
-  in
   (* Finished warps must not gate freeing (strict mode would deadlock on
      them); the idealized no-sync mode instead holds versions for
      laggards — it has unbounded rename registers, so early frees would
@@ -364,7 +355,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
             w.Engine.fi <- w.Engine.fi + 1;
             stats.Stats.skipped_prefetch <- stats.Stats.skipped_prefetch + 1;
             stats.Stats.rename_accesses <- stats.Stats.rename_accesses + 1;
-            elim_shape idx;
+            Stats.note_eliminated stats kinfo.Kinfo.shape.(idx);
             Skip_table.mark_passed slot.skip ~pc:idx ~occ ~warp:win
               ~majority:(effective_majority slot);
             clear_stall w;
@@ -420,19 +411,17 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
      engine and warp state plus the telemetry clock (which only matters
      on flush paths, and flushes are mutations), so with everything
      frozen all [n] executions are identical — run one for real and
-     scale its accumulations (the stat counters below and the per-PC
-     park telemetry) over the remaining [n - 1]. *)
+     scale its accumulations (the wait counters below and the per-PC
+     park telemetry) over the remaining [n - 1]. No other counter can
+     move: skips, entry allocations and majority drops all mutate.
+     Running it at [cycle] also leaves the telemetry clock where stepping
+     would have, so instance lifetimes flushed on the landing cycle are
+     identical. *)
   let bulk_skip ~cycle ~n =
     if n > 0 then begin
       let sync0 = stats.Stats.darsie_sync_stalls
-      and pre0 = stats.Stats.skipped_prefetch
-      and ren0 = stats.Stats.rename_accesses
       and coa0 = stats.Stats.coalescer_probes
-      and pro0 = stats.Stats.skip_table_probes
-      and maj0 = stats.Stats.majority_updates
-      and eu0 = stats.Stats.elim_uniform
-      and ea0 = stats.Stats.elim_affine
-      and eun0 = stats.Stats.elim_unstructured in
+      and pro0 = stats.Stats.skip_table_probes in
       Hashtbl.reset park_log;
       record_parks := true;
       cycle_skip ~cycle;
@@ -444,28 +433,12 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
         stats.Stats.darsie_sync_stalls <-
           stats.Stats.darsie_sync_stalls
           + ((stats.Stats.darsie_sync_stalls - sync0) * k);
-        stats.Stats.skipped_prefetch <-
-          stats.Stats.skipped_prefetch
-          + ((stats.Stats.skipped_prefetch - pre0) * k);
-        stats.Stats.rename_accesses <-
-          stats.Stats.rename_accesses
-          + ((stats.Stats.rename_accesses - ren0) * k);
         stats.Stats.coalescer_probes <-
           stats.Stats.coalescer_probes
           + ((stats.Stats.coalescer_probes - coa0) * k);
         stats.Stats.skip_table_probes <-
           stats.Stats.skip_table_probes
           + ((stats.Stats.skip_table_probes - pro0) * k);
-        stats.Stats.majority_updates <-
-          stats.Stats.majority_updates
-          + ((stats.Stats.majority_updates - maj0) * k);
-        stats.Stats.elim_uniform <-
-          stats.Stats.elim_uniform + ((stats.Stats.elim_uniform - eu0) * k);
-        stats.Stats.elim_affine <-
-          stats.Stats.elim_affine + ((stats.Stats.elim_affine - ea0) * k);
-        stats.Stats.elim_unstructured <-
-          stats.Stats.elim_unstructured
-          + ((stats.Stats.elim_unstructured - eun0) * k);
         Hashtbl.iter
           (fun pc c ->
             Skip_table.Telemetry.note_parks telemetry ~pc ~n:(c * k))
@@ -480,7 +453,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
      PC-coalescer ports) and mutates exactly like the skip phase —
      register a sync arrival, park, or chain skips. Any mutation it
      makes follows a real fetch this cycle, and a fetch already forces
-     the SM to step normally ([skip_reads_warp_state]), so the
+     the SM to step normally ([Sm.next_event_cycle]), so the
      fast-forward steadiness snapshot is never trusted after it. *)
   let recheck_fetch (w : Engine.wctx) =
     (match slot_of w with
@@ -621,13 +594,8 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
   {
     Engine.name = name_of options;
     cycle_skip;
-    skip_reads_warp_state = true;
     skip_steady = (fun () -> !last_skip_steady);
     bulk_skip;
-    on_fast_forward =
-      (* Keep the telemetry clock where stepping would have left it, so
-         instance lifetimes flushed on the landing cycle are identical. *)
-      (fun ~cycle -> Skip_table.Telemetry.set_now telemetry cycle);
     recheck_fetch;
     remove_at_fetch = (fun _ _ -> false);
     on_issue;

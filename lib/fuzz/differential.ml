@@ -3,7 +3,6 @@ module Sim_error = Darsie_check.Sim_error
 module Gpu = Darsie_timing.Gpu
 module Config = Darsie_timing.Config
 module Kinfo = Darsie_timing.Kinfo
-module Json = Darsie_obs.Json
 
 type failure = { f_kind : string; f_detail : string }
 
@@ -30,45 +29,6 @@ let failed ?(forwards = 0) ?(warp_insts = 0) f =
    millions of cycles is itself a bug worth reporting. *)
 let cfg ~base ~fast_forward =
   { base with Config.fast_forward; Config.max_cycles = 5_000_000 }
-
-let ledger_string l = Json.to_string (Darsie_obs.Ledger.to_json l)
-
-let assoc_string kvs =
-  String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) kvs)
-
-(* First bit-level difference between the fast-forward-on and -off runs,
-   or None when they agree everywhere we can observe. *)
-let ff_diff (on : Gpu.result) (off : Gpu.result) =
-  if on.Gpu.cycles <> off.Gpu.cycles then
-    Some
-      (Printf.sprintf "cycles: ff-on %d vs ff-off %d" on.Gpu.cycles
-         off.Gpu.cycles)
-  else if on.Gpu.stats <> off.Gpu.stats then Some "aggregate stats differ"
-  else if on.Gpu.per_sm <> off.Gpu.per_sm then Some "per-SM stats differ"
-  else if
-    Darsie_obs.Attrib.to_assoc on.Gpu.attribution
-    <> Darsie_obs.Attrib.to_assoc off.Gpu.attribution
-  then
-    Some
-      (Printf.sprintf "attribution: ff-on {%s} vs ff-off {%s}"
-         (assoc_string (Darsie_obs.Attrib.to_assoc on.Gpu.attribution))
-         (assoc_string (Darsie_obs.Attrib.to_assoc off.Gpu.attribution)))
-  else if
-    Array.map Darsie_obs.Attrib.to_assoc on.Gpu.per_sm_attribution
-    <> Array.map Darsie_obs.Attrib.to_assoc off.Gpu.per_sm_attribution
-  then Some "per-SM attribution differs"
-  else if on.Gpu.skip_telemetry <> off.Gpu.skip_telemetry then
-    Some "skip telemetry differs"
-  else if ledger_string on.Gpu.ledger <> ledger_string off.Gpu.ledger then
-    Some
-      (Printf.sprintf "ledger: ff-on %s vs ff-off %s"
-         (ledger_string on.Gpu.ledger)
-         (ledger_string off.Gpu.ledger))
-  else if
-    Array.map ledger_string on.Gpu.per_sm_ledger
-    <> Array.map ledger_string off.Gpu.per_sm_ledger
-  then Some "per-SM ledger differs"
-  else None
 
 let oracle_detail (rep : Oracle.report) =
   let shown = ref [] in
@@ -110,8 +70,8 @@ let check_case ?(base_cfg = Config.default) (case : Plan.case) : verdict =
           failed ~forwards ~warp_insts (fail "timing" (Sim_error.summary e))
       | Ok on, Ok off -> (
           let failure =
-            match ff_diff on off with
-            | Some d -> Some (fail "ff_divergence" d)
+            match Gpu.first_difference ~labels:("ff-on", "ff-off") on off with
+            | Some d -> Some (fail "ff_divergence" d.Gpu.report)
             | None ->
                 Option.map
                   (fun (kind, msg) -> fail kind msg)

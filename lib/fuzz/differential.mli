@@ -6,8 +6,8 @@
        instruction counts, final registers and memory must agree.
     2. {e Fast-forward bit-identity} — the same trace replayed through the
        DARSIE timing engine with event-driven fast-forwarding on and off:
-       cycles, stats, stall attribution, skip telemetry and the skip
-       ledger must match bit-for-bit.
+       every simulated output ({!Darsie_timing.Gpu.outputs}) must match
+       bit-for-bit ({!Darsie_timing.Gpu.first_difference}).
     3. {e Accounting invariants} — {!Darsie_timing.Gpu.check_invariants}
        on both timing runs: {!Darsie_timing.Gpu.check_attribution} (every
        simulated cycle lands in exactly one stall bucket) on each, then

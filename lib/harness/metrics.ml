@@ -76,7 +76,7 @@ let of_run ~app ?(scale = 1) (r : Suite.run) =
       ("cycles", J.Int gpu.Gpu.cycles);
       ("tbs_per_sm", J.Int gpu.Gpu.tbs_per_sm);
       ( "counters",
-        J.Obj (List.map (fun (k, v) -> (k, J.Int v)) (Stats_util.to_assoc stats))
+        J.Obj (List.map (fun (k, v) -> (k, J.Int v)) (Stats.to_assoc stats))
       );
       ( "derived",
         J.Obj (List.map (fun (k, v) -> (k, J.Float v)) (Stats_util.derived stats))

@@ -21,40 +21,7 @@ let ratio part whole =
 (* Stats projections                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* One stable field order shared by the JSON exporter, the CSV writers
-   and anything that wants to diff two runs counter-by-counter. *)
-let to_assoc (s : Stats.t) =
-  [
-    ("cycles", s.Stats.cycles);
-    ("fetched", s.Stats.fetched);
-    ("icache_misses", s.Stats.icache_misses);
-    ("issued", s.Stats.issued);
-    ("executed_threads", s.Stats.executed_threads);
-    ("skipped_prefetch", s.Stats.skipped_prefetch);
-    ("dropped_issue", s.Stats.dropped_issue);
-    ("elim_uniform", s.Stats.elim_uniform);
-    ("elim_affine", s.Stats.elim_affine);
-    ("elim_unstructured", s.Stats.elim_unstructured);
-    ("rf_reads", s.Stats.rf_reads);
-    ("rf_writes", s.Stats.rf_writes);
-    ("alu_ops", s.Stats.alu_ops);
-    ("sfu_ops", s.Stats.sfu_ops);
-    ("mem_ops", s.Stats.mem_ops);
-    ("shared_accesses", s.Stats.shared_accesses);
-    ("shared_bank_conflicts", s.Stats.shared_bank_conflicts);
-    ("smem_replay_cycles", s.Stats.smem_replay_cycles);
-    ("l1_accesses", s.Stats.l1_accesses);
-    ("l1_misses", s.Stats.l1_misses);
-    ("dram_transactions", s.Stats.dram_transactions);
-    ("rf_bank_conflicts", s.Stats.rf_bank_conflicts);
-    ("barrier_stall_cycles", s.Stats.barrier_stall_cycles);
-    ("fetch_stall_cycles", s.Stats.fetch_stall_cycles);
-    ("darsie_sync_stalls", s.Stats.darsie_sync_stalls);
-    ("skip_table_probes", s.Stats.skip_table_probes);
-    ("rename_accesses", s.Stats.rename_accesses);
-    ("coalescer_probes", s.Stats.coalescer_probes);
-    ("majority_updates", s.Stats.majority_updates);
-  ]
+let to_assoc = Stats.to_assoc
 
 let sum stats =
   let acc = Stats.create () in

@@ -15,8 +15,8 @@ val ratio : int -> int -> float
 (** [part / whole] as a float (0 when whole = 0). *)
 
 val to_assoc : Darsie_timing.Stats.t -> (string * int) list
-(** Every counter in a stable order — the exporters' schema depends on
-    these names staying put. *)
+(** {!Darsie_timing.Stats.to_assoc}, kept under this name for
+    perfbench. *)
 
 val sum : Darsie_timing.Stats.t list -> Darsie_timing.Stats.t
 (** Merge with {!Darsie_timing.Stats.add} semantics (cycles take the

@@ -41,11 +41,6 @@ type issue_decision = Execute | Drop
 type t = {
   name : string;
   cycle_skip : cycle:int -> unit;
-  (* True when [cycle_skip] inspects warp state (trace cursors, parked
-     sets). The SM's fetch phase runs after [cycle_skip], so for such
-     engines a fetch invalidates the [skip_steady] snapshot and the SM
-     must step one more cycle before fast-forwarding. *)
-  skip_reads_warp_state : bool;
   (* True when the most recent [cycle_skip] mutated no engine or warp
      state — it only accumulated per-cycle statistics. Such a skip phase
      repeats identically while the SM is frozen, which licenses
@@ -55,7 +50,6 @@ type t = {
      only invoked when [skip_steady ()] held. Engines with per-cycle
      accumulation run the phase once and scale the deltas. *)
   bulk_skip : cycle:int -> n:int -> unit;
-  on_fast_forward : cycle:int -> unit;
   (* Fresh fetch-gate decision at the warp's current cursor; bundle
      follower slots must use this, not the (stale) [fetch_ok]. *)
   recheck_fetch : wctx -> bool;
@@ -80,10 +74,8 @@ let base () =
   {
     name = "BASE";
     cycle_skip = (fun ~cycle:_ -> ());
-    skip_reads_warp_state = false;
     skip_steady = (fun () -> true);
     bulk_skip = (fun ~cycle:_ ~n:_ -> ());
-    on_fast_forward = (fun ~cycle:_ -> ());
     recheck_fetch = (fun _ -> true);
     remove_at_fetch = (fun _ _ -> false);
     on_issue = (fun ~cycle:_ _ _ -> Execute);

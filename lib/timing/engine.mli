@@ -81,31 +81,23 @@ type t = {
   name : string;
   cycle_skip : cycle:int -> unit;
       (** called once per SM cycle, before fetch *)
-  skip_reads_warp_state : bool;
-      (** true when [cycle_skip] inspects warp state (trace cursors,
-          parked sets). The fetch phase runs after [cycle_skip], so for
-          such engines a fetch this cycle invalidates the [skip_steady]
-          snapshot: the SM steps one more cycle before fast-forwarding.
-          Stateless skip phases leave this [false] *)
   skip_steady : unit -> bool;
       (** true when the most recent [cycle_skip] mutated no engine or
           warp state — at most it accumulated per-cycle statistics
           (DARSIE's probe, park and sync-stall counters). A steady skip
           phase is a deterministic function of frozen state, so it
           repeats identically across a jumped span; this is the license
-          the fast-forward path gates on. Stateless engines return
+          the fast-forward path gates on. The fetch phase runs after
+          [cycle_skip], so after a fetch that advanced any warp the SM
+          steps once more before trusting it. Stateless engines return
           [true] *)
   bulk_skip : cycle:int -> n:int -> unit;
       (** charge [n] skipped executions of the skip phase ending at
           [cycle] in one call; invoked by {!Sm.fast_forward} only when
           [skip_steady ()] held. Accumulating engines run the phase
-          once and scale the stat deltas by [n]; stateless engines
-          no-op *)
-  on_fast_forward : cycle:int -> unit;
-      (** the SM clock jumped: the span up to and including [cycle]
-          was skipped without calling [cycle_skip]. Engines tracking the
-          current cycle (DARSIE's skip-table telemetry clock) resync
-          here; called only when [skip_steady ()] held *)
+          once at [cycle] and scale the stat deltas by [n], which also
+          leaves an engine clock (DARSIE's skip-table telemetry) where
+          stepping would have; stateless engines no-op *)
   recheck_fetch : wctx -> bool;
       (** re-evaluate the fetch gate for [w] at its {e current} cursor.
           [fetch_ok] holds the decision the skip phase made for the

@@ -48,7 +48,6 @@ let merge_notes per_sm_notes =
     per_sm_notes;
   List.rev_map (fun k -> (k, Hashtbl.find acc k)) !order
 
-(* Fold the drained SM array into a [result]. *)
 let assemble ~cycles ~tbs_per_sm (kernel : Kernel.t) sms =
   Array.iter Sm.finalize sms;
   let per_sm = Array.map Sm.stats sms in
@@ -593,6 +592,64 @@ let run_exn ?cfg ?sink ?sample_interval ?deadline ?pcstat factory kinfo trace
 let ipc r =
   if r.cycles = 0 then 0.0
   else float_of_int r.stats.Stats.issued /. float_of_int r.cycles
+
+let outputs r =
+  let kvs l =
+    String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ string_of_int v) l)
+  in
+  let per_sm f xs = String.concat "\n" (Array.to_list (Array.map f xs)) in
+  let stats s = kvs (Stats.to_assoc s) in
+  let attrib a = kvs (Obs.Attrib.to_assoc a) in
+  let ledger l = Obs.Json.to_string (Obs.Ledger.to_json l) in
+  let pcstat p = Obs.Json.to_string (Obs.Pcstat.to_json p) in
+  let skip (pc, (e : Obs.Pcstat.skip_entry)) =
+    Printf.sprintf
+      "%d:allocs=%d,hits=%d,parks=%d,load_flushes=%d,barrier_flushes=%d,\
+       lifetime=%d"
+      pc e.sk_allocs e.sk_hits e.sk_parks e.sk_load_flushes
+      e.sk_barrier_flushes e.sk_lifetime
+  in
+  [
+    ("cycles", string_of_int r.cycles);
+    ("engine", r.engine);
+    ("tbs_per_sm", string_of_int r.tbs_per_sm);
+    ("stats", stats r.stats);
+    ("per-SM stats", per_sm stats r.per_sm);
+    ("attribution", attrib r.attribution);
+    ("per-SM attribution", per_sm attrib r.per_sm_attribution);
+    ("ledger", ledger r.ledger);
+    ("per-SM ledger", per_sm ledger r.per_sm_ledger);
+    ("per-PC", Option.fold ~none:"" ~some:pcstat r.pcstat);
+    ("per-SM per-PC", per_sm pcstat r.per_sm_pcstat);
+    ("skip telemetry", String.concat "\n" (List.map skip r.skip_telemetry));
+    ("series", Obs.Export.csv_of_series r.series);
+  ]
+
+type difference = { part : string; offset : int; report : string }
+
+let first_difference ~labels:(la, lb) a b =
+  let w = 1 + max (String.length la) (String.length lb) in
+  List.find_map
+    (fun ((part, x), (_, y)) ->
+      if String.equal x y then None
+      else begin
+        let n = min (String.length x) (String.length y) in
+        let i = ref 0 in
+        while !i < n && x.[!i] = y.[!i] do
+          incr i
+        done;
+        let window s =
+          let lo = max 0 (!i - 60) in
+          String.sub s lo (min 140 (String.length s - lo))
+          |> String.split_on_char '\n' |> String.concat "\\n"
+        in
+        let report =
+          Printf.sprintf "%s diverges at byte %d:\n  %-*s %s\n  %-*s %s" part
+            !i w (la ^ ":") (window x) w (lb ^ ":") (window y)
+        in
+        Some { part; offset = !i; report }
+      end)
+    (List.combine (outputs a) (outputs b))
 
 (* Each SM steps once per simulated cycle and classifies that cycle into
    exactly one bucket, so this can only fail if the model drifts. When

@@ -64,8 +64,8 @@ val run :
     ({!Sm.next_event_cycle}), bulk-charging the skipped cycles into the
     same stall-attribution buckets stepping would have filled; [false]
     wakes every SM at every cycle (the [--no-fast-forward] escape hatch).
-    Results are bit-identical at every domain count with fast-forward on
-    or off, and with any observability hook requested.
+    Results are bit-identical ({!outputs}) at every domain count with
+    fast-forward on or off, and with any observability hook requested.
 
     Failures come back as typed {!Darsie_check.Sim_error.t} values
     carrying a diagnostic dump (per-warp state, stall attribution,
@@ -89,6 +89,28 @@ val run_exn :
   result
 (** {!run}, raising {!Darsie_check.Sim_error.Simulation_error} instead of
     returning [Error]. For call sites that treat failure as fatal. *)
+
+val assemble :
+  cycles:int -> tbs_per_sm:int -> Darsie_isa.Kernel.t -> Sm.t array -> result
+(** Finalize drained SMs and fold them into the [result] {!run} returns:
+    per-SM parts as they are, aggregates as their sums. *)
+
+val outputs : result -> (string * string) list
+(** Every simulated output of a run, one labelled rendering per part:
+    cycles, engine, [tbs_per_sm]; stats (every counter), attribution,
+    skip ledger and per-PC profile, each aggregate then per SM; skip
+    telemetry; series. Two runs are bit-identical exactly when their
+    outputs are equal; every differential compares them with
+    {!first_difference}. *)
+
+type difference = { part : string; offset : int; report : string }
+(** The label of the first part that differs, its first differing byte,
+    and a report naming both with a one-line window of each side. *)
+
+val first_difference :
+  labels:string * string -> result -> result -> difference option
+(** [None] when the two runs' {!outputs} are equal; [labels] name the
+    two sides in [report]. *)
 
 val ipc : result -> float
 (** Executed warp instructions (including eliminated ones' useful work is

@@ -638,13 +638,7 @@ let try_issue_head t (w : Engine.wctx) =
       | Some p -> Obs.Pcstat.note_drop p ~pc:idx
       | None -> ());
       emit t ~warp:w.Engine.wid Obs.Event.Drop_at_issue;
-      (match kinfo.Kinfo.shape.(idx) with
-      | Darsie_compiler.Marking.Uniform ->
-        stats.Stats.elim_uniform <- stats.Stats.elim_uniform + 1
-      | Darsie_compiler.Marking.Affine ->
-        stats.Stats.elim_affine <- stats.Stats.elim_affine + 1
-      | Darsie_compiler.Marking.Unstructured | Darsie_compiler.Marking.Varying ->
-        stats.Stats.elim_unstructured <- stats.Stats.elim_unstructured + 1);
+      Stats.note_eliminated stats kinfo.Kinfo.shape.(idx);
       (match kinfo.Kinfo.dst_reg.(idx) with
       | Some d ->
         w.Engine.pending.(d) <- w.Engine.pending.(d) + 1;
@@ -935,15 +929,7 @@ let fetch t =
               | Some p -> Obs.Pcstat.note_skip p ~pc:idx
               | None -> ());
               emit t ~warp:w.Engine.wid Obs.Event.Skip_prefetch;
-              match t.kinfo.Kinfo.shape.(idx) with
-              | Darsie_compiler.Marking.Uniform ->
-                t.stats.Stats.elim_uniform <- t.stats.Stats.elim_uniform + 1
-              | Darsie_compiler.Marking.Affine ->
-                t.stats.Stats.elim_affine <- t.stats.Stats.elim_affine + 1
-              | Darsie_compiler.Marking.Unstructured
-              | Darsie_compiler.Marking.Varying ->
-                t.stats.Stats.elim_unstructured <-
-                  t.stats.Stats.elim_unstructured + 1
+              Stats.note_eliminated t.stats t.kinfo.Kinfo.shape.(idx)
             end
             else continue_removing := false
           done;
@@ -1222,12 +1208,9 @@ let next_event_cycle t =
      (Frozen stat counters are not enough: a skip phase can mutate
      state, e.g. release a branch sync, without moving any stat
      counter.) The flag reflects a phase that ran before this cycle's
-     fetch; when the skip phase inspects warp state, a fetch mutates
-     state it has not seen, so a fetch forces one more normal step. *)
-  if
-    (not (t.engine.Engine.skip_steady ()))
-    || (t.fetch_mutated && t.engine.Engine.skip_reads_warp_state)
-  then
+     fetch, and a fetch mutates warp state that phase has not seen, so a
+     fetch forces one more normal step. *)
+  if (not (t.engine.Engine.skip_steady ())) || t.fetch_mutated then
     if busy t then t.cycle + 1 else max_int
   else begin
     let now1 = t.cycle + 1 in
@@ -1328,7 +1311,6 @@ let fast_forward t ~to_ =
     Array.fill t.greedy 0 (Array.length t.greedy) (-1);
     (* the engine's skip phase would have run once per skipped cycle *)
     t.engine.Engine.bulk_skip ~cycle:to_ ~n:span;
-    t.engine.Engine.on_fast_forward ~cycle:to_;
     (* bulk_skip can advance the skip counters, which the watchdog
        counts as progress at the landing cycle *)
     let tok = progress_token t in

@@ -94,7 +94,46 @@ let add acc x =
   acc.coalescer_probes <- acc.coalescer_probes + x.coalescer_probes;
   acc.majority_updates <- acc.majority_updates + x.majority_updates
 
+let note_eliminated t (shape : Darsie_compiler.Marking.shape) =
+  match shape with
+  | Uniform -> t.elim_uniform <- t.elim_uniform + 1
+  | Affine -> t.elim_affine <- t.elim_affine + 1
+  | Unstructured | Varying -> t.elim_unstructured <- t.elim_unstructured + 1
+
 let total_eliminated t = t.skipped_prefetch + t.dropped_issue
+
+let to_assoc t =
+  [
+    ("cycles", t.cycles);
+    ("fetched", t.fetched);
+    ("icache_misses", t.icache_misses);
+    ("issued", t.issued);
+    ("executed_threads", t.executed_threads);
+    ("skipped_prefetch", t.skipped_prefetch);
+    ("dropped_issue", t.dropped_issue);
+    ("elim_uniform", t.elim_uniform);
+    ("elim_affine", t.elim_affine);
+    ("elim_unstructured", t.elim_unstructured);
+    ("rf_reads", t.rf_reads);
+    ("rf_writes", t.rf_writes);
+    ("alu_ops", t.alu_ops);
+    ("sfu_ops", t.sfu_ops);
+    ("mem_ops", t.mem_ops);
+    ("shared_accesses", t.shared_accesses);
+    ("shared_bank_conflicts", t.shared_bank_conflicts);
+    ("smem_replay_cycles", t.smem_replay_cycles);
+    ("l1_accesses", t.l1_accesses);
+    ("l1_misses", t.l1_misses);
+    ("dram_transactions", t.dram_transactions);
+    ("rf_bank_conflicts", t.rf_bank_conflicts);
+    ("barrier_stall_cycles", t.barrier_stall_cycles);
+    ("fetch_stall_cycles", t.fetch_stall_cycles);
+    ("darsie_sync_stalls", t.darsie_sync_stalls);
+    ("skip_table_probes", t.skip_table_probes);
+    ("rename_accesses", t.rename_accesses);
+    ("coalescer_probes", t.coalescer_probes);
+    ("majority_updates", t.majority_updates);
+  ]
 
 let pp fmt t =
   Format.fprintf fmt

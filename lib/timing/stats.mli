@@ -49,6 +49,15 @@ val add : t -> t -> unit
 (** [add acc x] accumulates [x] into [acc] (cycles take the max, for
     summing per-SM stats into a GPU total). *)
 
+val note_eliminated : t -> Darsie_compiler.Marking.shape -> unit
+(** Count one eliminated instruction under its static shape:
+    [elim_uniform], [elim_affine], or [elim_unstructured] (which also
+    takes [Varying]). Every elimination site calls this. *)
+
 val total_eliminated : t -> int
+
+val to_assoc : t -> (string * int) list
+(** Every counter, in declaration order — the exporters' schema and
+    {!Gpu.outputs} depend on these names staying put. *)
 
 val pp : Format.formatter -> t -> unit

@@ -10,7 +10,6 @@ open Darsie_timing
 module Obs = Darsie_obs
 module Sim_error = Darsie_check.Sim_error
 module W = Darsie_workloads.Workload
-module J = Darsie_obs.Json
 
 let check_int = Alcotest.(check int)
 
@@ -38,26 +37,9 @@ let prep ?(grid = Kernel.dim3 1) ?(block = Kernel.dim3 32) ktext ~nparams =
   let launch = Kernel.launch k ~grid ~block ~params in
   (Kinfo.make ~warp_size:32 launch, Darsie_trace.Record.generate mem launch)
 
-(* Everything a run observably produces, as one canonical byte string:
-   cycles, the full stats record, aggregate and per-SM stall attribution,
-   per-PC bucket totals and the sampled counter time-series. *)
-let result_fingerprint (r : Gpu.result) =
-  let render kvs =
-    String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) kvs)
-  in
-  let assoc a = render (Obs.Attrib.to_assoc a) in
-  String.concat "\n"
-    ([ Printf.sprintf "cycles=%d" r.Gpu.cycles;
-       render (Darsie_harness.Stats_util.to_assoc r.Gpu.stats);
-       assoc r.Gpu.attribution ]
-    @ List.map assoc (Array.to_list r.Gpu.per_sm_attribution)
-    @ List.map
-        (fun p -> assoc (Obs.Pcstat.bucket_totals p))
-        (Array.to_list r.Gpu.per_sm_pcstat)
-    @ [ Obs.Export.csv_of_series r.Gpu.series ])
-
 (* Run both ways, demand the attribution invariant holds under bulk
-   charging, and return the (identical) pair for scenario assertions. *)
+   charging and the simulated outputs are identical, and return the pair
+   for scenario assertions. *)
 let run_both ?(cfg = Config.default) ?(engine = Engine.base_factory)
     ?sample_interval (kinfo, trace) =
   let go cfg =
@@ -69,8 +51,9 @@ let run_both ?(cfg = Config.default) ?(engine = Engine.base_factory)
   in
   let on = go cfg in
   let off = go (ff_off cfg) in
-  check_string "fast-forward on/off fingerprints"
-    (result_fingerprint off) (result_fingerprint on);
+  (match Gpu.first_difference ~labels:("off", "on") off on with
+  | Some d -> Alcotest.failf "fast-forward on/off: %s" d.Gpu.report
+  | None -> ());
   (on, off)
 
 (* A single dependent load: the SM idles for the whole DRAM round trip
@@ -227,70 +210,30 @@ let all_machines =
     Darsie_harness.Suite.Darsie_no_cf_sync;
     Darsie_harness.Suite.Silicon_sync ]
 
-let matrix_cells m =
-  let module Suite = Darsie_harness.Suite in
-  List.concat_map
-    (fun (app : Suite.app) ->
-      List.map
-        (fun machine ->
-          let abbr = app.Suite.workload.W.abbr in
-          let r = Suite.get m abbr machine in
-          (match Gpu.check_attribution r.Suite.gpu with
-          | Ok () -> ()
-          | Error msg -> Alcotest.failf "%s: %s" abbr msg);
-          ( Printf.sprintf "%s/%s" abbr (Suite.machine_name machine),
-            J.to_string (Darsie_harness.Metrics.of_run ~app:abbr r) ))
-        all_machines)
-    m.Suite.apps
-
-(* The metrics document deliberately echoes the machine configuration,
-   including the fast-forward flag itself ([machine_config.fast_forward]);
-   the on/off identity contract covers every simulated field, so the
-   echo is normalized away before comparing. *)
-let normalize_ff s =
-  let sub = {|"fast_forward":false|} and by = {|"fast_forward":true|} in
-  let n = String.length s and m = String.length sub in
-  let b = Buffer.create n in
-  let i = ref 0 in
-  while !i < n do
-    if !i + m <= n && String.sub s !i m = sub then begin
-      Buffer.add_string b by;
-      i := !i + m
-    end
-    else begin
-      Buffer.add_char b s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
-
-(* On mismatch, fail with the cell name and a window around the first
-   differing byte instead of dumping two multi-kilobyte JSON documents. *)
-let check_cell name off on =
-  if off <> on then begin
-    let n = min (String.length off) (String.length on) in
-    let i = ref 0 in
-    while !i < n && off.[!i] = on.[!i] do
-      incr i
-    done;
-    let window s =
-      let lo = max 0 (!i - 60) in
-      String.sub s lo (min 140 (String.length s - lo))
-    in
-    Alcotest.failf "%s diverges at byte %d:\n  off: %s\n  on:  %s" name !i
-      (window off) (window on)
-  end
-
 let test_suite_differential () =
+  let module Suite = Darsie_harness.Suite in
   let jobs = Darsie_harness.Parallel.default_jobs () in
-  let build cfg =
-    Darsie_harness.Suite.build_matrix ~cfg ~machines:all_machines ~jobs ()
-  in
+  let build cfg = Suite.build_matrix ~cfg ~machines:all_machines ~jobs () in
   let m_off = build (ff_off Config.default) in
   let m_on = build Config.default in
-  List.iter2
-    (fun (name, off) (_, on) -> check_cell name (normalize_ff off) on)
-    (matrix_cells m_off) (matrix_cells m_on);
+  List.iter
+    (fun (app : Suite.app) ->
+      let abbr = app.Suite.workload.W.abbr in
+      List.iter
+        (fun machine ->
+          let cell = abbr ^ "/" ^ Suite.machine_name machine in
+          let gpu m = (Suite.get m abbr machine).Suite.gpu in
+          (match
+             Gpu.first_difference ~labels:("off", "on") (gpu m_off)
+               (gpu m_on)
+           with
+          | Some d -> Alcotest.failf "%s: %s" cell d.Gpu.report
+          | None -> ());
+          match Gpu.check_attribution (gpu m_on) with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "%s: %s" cell msg)
+        all_machines)
+    m_on.Suite.apps;
   let fig8 m =
     let _, _, _, text = Darsie_harness.Figures.fig8 m in
     text

@@ -34,7 +34,7 @@ let prep ?(grid = Kernel.dim3 1) ?(block = Kernel.dim3 32)
   (Kinfo.make ~warp_size:32 launch, Darsie_trace.Record.generate mem launch)
 
 (* Run with fast-forward on and off, demand the attribution invariant
-   and bit-identical cycle counts both ways, return the result. *)
+   and identical simulated outputs both ways, return the result. *)
 let run_both ?(cfg = Config.default) (kinfo, trace) =
   let go cfg =
     let r =
@@ -47,10 +47,9 @@ let run_both ?(cfg = Config.default) (kinfo, trace) =
   in
   let on = go cfg in
   let off = go (ff_off cfg) in
-  check_int "fast-forward on/off cycles" off.Gpu.cycles on.Gpu.cycles;
-  check_bool "fast-forward on/off attribution" true
-    (Obs.Attrib.to_assoc off.Gpu.attribution
-    = Obs.Attrib.to_assoc on.Gpu.attribution);
+  (match Gpu.first_difference ~labels:("off", "on") off on with
+  | Some d -> Alcotest.failf "fast-forward on/off: %s" d.Gpu.report
+  | None -> ());
   on
 
 let bucket r name =
@@ -217,21 +216,6 @@ let all_machines =
   [ Suite.Base; Suite.Uv; Suite.Dac_ideal; Suite.Darsie;
     Suite.Darsie_ignore_store; Suite.Darsie_no_cf_sync; Suite.Silicon_sync ]
 
-let matrix_cells m =
-  List.concat_map
-    (fun (app : Suite.app) ->
-      List.map
-        (fun machine ->
-          let abbr = app.Suite.workload.W.abbr in
-          let r = Suite.get m abbr machine in
-          (match Gpu.check_attribution r.Suite.gpu with
-          | Ok () -> ()
-          | Error msg -> Alcotest.failf "%s: %s" abbr msg);
-          ( Printf.sprintf "%s/%s" abbr (Suite.machine_name machine),
-            J.to_string (Darsie_harness.Metrics.of_run ~app:abbr r) ))
-        all_machines)
-    m.Suite.apps
-
 let knob_cfg =
   { Config.default with Config.issue_width = 2; mshrs = 1; smem_banks = 32 }
 
@@ -245,42 +229,24 @@ let knob_matrices =
 
 let test_matrix_at_knobs () =
   let m_off, m_on = Lazy.force knob_matrices in
-  (* the document echoes the fast-forward flag itself; normalize it so
-     the comparison covers only simulated fields *)
-  let normalize_ff s =
-    let sub = {|"fast_forward":false|} and by = {|"fast_forward":true|} in
-    let n = String.length s and m = String.length sub in
-    let b = Buffer.create n in
-    let i = ref 0 in
-    while !i < n do
-      if !i + m <= n && String.sub s !i m = sub then begin
-        Buffer.add_string b by;
-        i := !i + m
-      end
-      else begin
-        Buffer.add_char b s.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents b
-  in
-  List.iter2
-    (fun (name, off) (_, on) ->
-      let off = normalize_ff off in
-      if off <> on then begin
-        let n = min (String.length off) (String.length on) in
-        let i = ref 0 in
-        while !i < n && off.[!i] = on.[!i] do
-          incr i
-        done;
-        let window s =
-          let lo = max 0 (!i - 80) in
-          String.sub s lo (min 180 (String.length s - lo))
-        in
-        Alcotest.failf "%s diverges at byte %d:\n  off: %s\n  on:  %s" name !i
-          (window off) (window on)
-      end)
-    (matrix_cells m_off) (matrix_cells m_on)
+  List.iter
+    (fun (app : Suite.app) ->
+      let abbr = app.Suite.workload.W.abbr in
+      List.iter
+        (fun machine ->
+          let cell = abbr ^ "/" ^ Suite.machine_name machine in
+          let gpu m = (Suite.get m abbr machine).Suite.gpu in
+          (match
+             Gpu.first_difference ~labels:("off", "on") (gpu m_off)
+               (gpu m_on)
+           with
+          | Some d -> Alcotest.failf "%s: %s" cell d.Gpu.report
+          | None -> ());
+          match Gpu.check_attribution (gpu m_on) with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "%s: %s" cell msg)
+        all_machines)
+    m_on.Suite.apps
 
 (* ------------------------------------------------------------------ *)
 (* Pinned simulated outputs off the default machine                     *)
@@ -293,7 +259,7 @@ let test_matrix_at_knobs () =
 let digest_of (r : Gpu.result) =
   let b = Buffer.create 4096 in
   let kv (k, v) = Printf.bprintf b "%s=%d;" k v in
-  let stats s = List.iter kv (Darsie_harness.Stats_util.to_assoc s) in
+  let stats s = List.iter kv (Stats.to_assoc s) in
   let attr a = List.iter kv (Obs.Attrib.to_assoc a) in
   Printf.bprintf b "cycles=%d;" r.Gpu.cycles;
   stats r.Gpu.stats;

@@ -147,9 +147,6 @@ let run_red ?(engine = darsie_factory) ?(cfg = Config.default) () =
   let kinfo, trace = prep red_kernel ~nparams:2 in
   Gpu.run_exn ~cfg engine kinfo trace
 
-let ledger_fingerprint (r : Gpu.result) =
-  J.pretty_to_string (L.to_json r.Gpu.ledger)
-
 let test_crafted_conservation () =
   let r = run_red () in
   (match Gpu.check_ledger r with
@@ -164,8 +161,9 @@ let test_ff_bit_identity () =
   let off =
     run_red ~cfg:{ Config.default with Config.fast_forward = false } ()
   in
-  check_string "ledger byte-identical with fast-forward on and off"
-    (ledger_fingerprint off) (ledger_fingerprint on)
+  match Gpu.first_difference ~labels:("off", "on") off on with
+  | Some d -> Alcotest.failf "fast-forward on/off: %s" d.Gpu.report
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Matrix conservation property                                        *)
@@ -268,8 +266,9 @@ let test_fault_misreported_fate () =
   | Ok () -> ()
   | Error m ->
     Alcotest.failf "misreporting balances the books, expected Ok: %s" m);
-  check_bool "fault is detectable in the ledger" true
-    (ledger_fingerprint clean <> ledger_fingerprint faulty);
+  (match Gpu.first_difference ~labels:("clean", "faulty") clean faulty with
+  | Some d -> check_string "fault is first detectable in" "ledger" d.Gpu.part
+  | None -> Alcotest.fail "misreported fates must change the ledger");
   check_bool "misreporting inflates captured" true
     (L.captured faulty.Gpu.ledger > L.captured clean.Gpu.ledger);
   check_int "but leaves the eligible count alone"

@@ -2,11 +2,11 @@
    array in epochs — sharded across OCaml domains, with per-SM wake
    calendars (fast-forward) and DRAM, dispatch and events replayed at
    barriers. Here it must reproduce a lockstep reference that steps
-   every SM every cycle: same cycles, per-SM stats, attribution,
-   ledgers, per-PC profile, series and recorded event stream, at 1, 2
-   and 4 domains with fast-forward on and off, on crafted kernels and
-   every app x machine; the watchdog / cycle-bound error paths must fire
-   at exactly the reference's cycle with the same attribution. *)
+   every SM every cycle: the same simulated outputs ([Gpu.outputs]) and
+   recorded event stream, at 1, 2 and 4 domains with fast-forward on
+   and off, on crafted kernels and every app x machine; the watchdog /
+   cycle-bound error paths must fire at exactly the reference's cycle
+   with the same attribution. *)
 
 open Darsie_isa
 open Darsie_timing
@@ -15,8 +15,6 @@ module Record = Darsie_trace.Record
 module Sim_error = Darsie_check.Sim_error
 module W = Darsie_workloads.Workload
 module Suite = Darsie_harness.Suite
-module Stats_util = Darsie_harness.Stats_util
-module J = Darsie_obs.Json
 
 let check_int = Alcotest.(check int)
 
@@ -37,7 +35,9 @@ type outcome =
    slots. The deadlock watchdog fires when the summed progress tokens
    stay frozen with nothing in flight for [watchdog_cycles] per-cycle
    checks (the first check only records the token), and the cycle bound
-   when cycle [max_cycles + 1] would begin. *)
+   when cycle [max_cycles + 1] would begin. The SMs are folded into a
+   result exactly as [Gpu.run] folds its own; after a failure only its
+   attribution is compared. *)
 let lockstep ~cfg ~sink ~sample_interval factory (kinfo : Kinfo.t)
     (trace : Record.t) =
   let warps_per_tb = Record.warps_per_tb trace in
@@ -91,16 +91,12 @@ let lockstep ~cfg ~sink ~sample_interval factory (kinfo : Kinfo.t)
       end
     end
   done;
-  (Option.get !outcome, sms)
+  ( Option.get !outcome,
+    Gpu.assemble ~cycles:!cycle ~tbs_per_sm:slots kinfo.Kinfo.kernel sms )
 
 (* ------------------------------------------------------------------ *)
-(* Fingerprints                                                        *)
+(* Checks                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let render kvs =
-  String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) kvs)
-
-let assoc a = render (Obs.Attrib.to_assoc a)
 
 (* Recorded events are compared as lists; on mismatch the first
    differing event is rendered. *)
@@ -121,77 +117,6 @@ let check_events label expected actual =
     Alcotest.failf "%s: event %d differs:\n  expected: %s\n  run:      %s"
       label i (show a) (show b)
   end
-
-(* Everything a successful run observably produces apart from its
-   events, one labelled string per part; [pcstat] is the aggregate
-   profile. *)
-let parts ~cycles ~stats ~attribution ~ledgers ~pcstats ~pcstat ~skips ~series
-    =
-  let per_sm f xs = String.concat "\n" (List.map f (Array.to_list xs)) in
-  [
-    ("cycles", string_of_int cycles);
-    ("per-SM stats", per_sm (fun s -> render (Stats_util.to_assoc s)) stats);
-    ("attribution", per_sm assoc attribution);
-    ("ledger", per_sm (fun l -> J.to_string (Obs.Ledger.to_json l)) ledgers);
-    ( "per-PC",
-      J.to_string (Obs.Pcstat.to_json ~skip_telemetry:skips pcstat)
-      ^ per_sm (fun p -> J.to_string (Obs.Pcstat.to_json p)) pcstats );
-    ("series", Obs.Export.csv_of_series series);
-  ]
-
-let parts_of_result (r : Gpu.result) =
-  parts ~cycles:r.Gpu.cycles ~stats:r.Gpu.per_sm
-    ~attribution:r.Gpu.per_sm_attribution ~ledgers:r.Gpu.per_sm_ledger
-    ~pcstats:r.Gpu.per_sm_pcstat ~pcstat:(Option.get r.Gpu.pcstat)
-    ~skips:r.Gpu.skip_telemetry ~series:r.Gpu.series
-
-let parts_of_sms cycles sms =
-  Array.iter Sm.finalize sms;
-  let get f = Array.map (fun sm -> Option.get (f sm)) sms in
-  let pcstats = get Sm.pcstat in
-  let pcstat = Obs.Pcstat.create ~n:(Obs.Pcstat.n pcstats.(0)) in
-  Array.iter (Obs.Pcstat.add pcstat) pcstats;
-  parts ~cycles ~stats:(Array.map Sm.stats sms)
-    ~attribution:(Array.map Sm.attribution sms)
-    ~ledgers:(Array.map Sm.ledger sms) ~pcstats ~pcstat
-    ~skips:
-      (Obs.Pcstat.merge_skip_telemetry
-         (Array.to_list (Array.map Sm.skip_telemetry sms)))
-    ~series:(get Sm.series)
-
-(* A failed run is fingerprinted by its error kind, diagnostic cycle and
-   the stall attribution at the failure. *)
-let failure_parts kind cycle attribution =
-  [ ("failure", Printf.sprintf "%s at %d: %s" kind cycle attribution) ]
-
-let sms_attribution sms =
-  let a = Obs.Attrib.create () in
-  Array.iter (fun sm -> Obs.Attrib.add a (Sm.attribution sm)) sms;
-  assoc a
-
-(* On mismatch, fail with the part name and a window around the first
-   differing byte instead of dumping two large strings. *)
-let check_parts label expected actual =
-  if List.map fst expected <> List.map fst actual then
-    Alcotest.failf "%s: the lockstep reference and the run ended differently"
-      label;
-  List.iter2
-    (fun (name, a) (_, b) ->
-      if a <> b then begin
-        let n = min (String.length a) (String.length b) in
-        let i = ref 0 in
-        while !i < n && a.[!i] = b.[!i] do
-          incr i
-        done;
-        let window s =
-          let lo = max 0 (!i - 60) in
-          String.sub s lo (min 140 (String.length s - lo))
-        in
-        Alcotest.failf
-          "%s: %s diverges at byte %d:\n  lockstep: %s\n  run:      %s" label
-          name !i (window a) (window b)
-      end)
-    expected actual
 
 (* Conservation, plus a sanity bound the lockstep reference cannot
    give: it shares the SM model, so a latency noted against a
@@ -222,22 +147,19 @@ let configs =
 
 (* Run the lockstep reference once, then [Gpu.run] at every (domains,
    fast-forward) pair, with the per-PC profile, a counter series and an
-   event recorder on, and demand identical fingerprints. Fast-forwarded
-   spans are bulk-charged without per-cycle events, so with ff on the
-   event stream is held to the first ff-on run's instead (it must not
-   depend on the domain count). Returns the reference outcome and SMs
-   for scenario assertions. *)
+   event recorder on, and demand identical simulated outputs — or, when
+   the reference failed, the same error kind, diagnostic cycle and
+   stall attribution at the failure. Fast-forwarded spans are
+   bulk-charged without per-cycle events, so with ff on the event stream
+   is held to the first ff-on run's instead (it must not depend on the
+   domain count). Returns the reference outcome and result for scenario
+   assertions. *)
 let against_lockstep ?(cfg = Config.default) ?(engine = Engine.base_factory)
     ?(sample_interval = 64) ?(configs = configs) ~label (kinfo, trace) =
   let rec_ = Obs.Recorder.create () in
-  let outcome, sms =
+  let outcome, reference =
     lockstep ~cfg ~sink:(Obs.Recorder.sink rec_) ~sample_interval engine kinfo
       trace
-  in
-  let expected =
-    match outcome with
-    | Finished cycles -> parts_of_sms cycles sms
-    | Failed (kind, cycle) -> failure_parts kind cycle (sms_attribution sms)
   in
   let stepped_events = Obs.Recorder.events rec_ and ff_events = ref None in
   List.iter
@@ -246,17 +168,27 @@ let against_lockstep ?(cfg = Config.default) ?(engine = Engine.base_factory)
       let label = Printf.sprintf "%s, %d domains, ff %b" label n ff in
       let rec_ = Obs.Recorder.create () in
       (match
-         Gpu.run ~cfg ~sink:(Obs.Recorder.sink rec_) ~sample_interval
-           ~pcstat:true engine kinfo trace
+         ( outcome,
+           Gpu.run ~cfg ~sink:(Obs.Recorder.sink rec_) ~sample_interval
+             ~pcstat:true engine kinfo trace )
        with
-      | Ok r ->
+      | Finished _, Ok r -> (
         invariants label r;
-        check_parts label expected (parts_of_result r)
-      | Error e ->
+        match
+          Gpu.first_difference ~labels:("lockstep", "run") reference r
+        with
+        | Some d -> Alcotest.failf "%s: %s" label d.Gpu.report
+        | None -> ())
+      | Failed (kind, cycle), Error e ->
         let d = Option.get (Sim_error.diagnostic e) in
-        check_parts label expected
-          (failure_parts (Sim_error.kind_name e) d.Sim_error.d_cycle
-             (render d.Sim_error.d_attribution)));
+        Alcotest.(check (triple string int (list (pair string int))))
+          (label ^ ": failure kind, cycle and attribution")
+          (kind, cycle, Obs.Attrib.to_assoc reference.Gpu.attribution)
+          (Sim_error.kind_name e, d.Sim_error.d_cycle,
+           d.Sim_error.d_attribution)
+      | _ ->
+        Alcotest.failf
+          "%s: the lockstep reference and the run ended differently" label);
       let events = Obs.Recorder.events rec_ in
       let expected_events =
         if not ff then stepped_events
@@ -269,7 +201,7 @@ let against_lockstep ?(cfg = Config.default) ?(engine = Engine.base_factory)
       in
       check_events label expected_events events)
     configs;
-  (outcome, sms)
+  (outcome, reference)
 
 (* ------------------------------------------------------------------ *)
 (* Crafted kernels                                                     *)
@@ -328,12 +260,9 @@ let test_dram_contention () =
     prep ~grid:(Kernel.dim3 16) ~block:(Kernel.dim3 128) contention_kernel
       ~nparams:1
   in
-  let _, sms = against_lockstep ~label:"contention" case in
+  let _, r = against_lockstep ~label:"contention" case in
   check_bool "contention scenario really hits DRAM" true
-    (Array.fold_left
-       (fun acc sm -> acc + (Sm.stats sm).Stats.dram_transactions)
-       0 sms
-    > 100)
+    (r.Gpu.stats.Stats.dram_transactions > 100)
 
 let test_tb_turnover () =
   (* many more TBs than slots: retirements open dispatch scans mid-epoch,

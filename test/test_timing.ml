@@ -3,6 +3,7 @@
 
 open Darsie_isa
 open Darsie_timing
+module Obs = Darsie_obs
 
 let check_int = Alcotest.(check int)
 
@@ -445,7 +446,7 @@ let test_collectors () =
     (starved.Gpu.cycles > normal.Gpu.cycles)
 
 let test_determinism () =
-  (* identical traces through identical configs give identical cycles -
+  (* identical traces through identical configs give identical outputs -
      no hidden nondeterminism from hash iteration orders *)
   let k = parse alu_kernel in
   let mem = Darsie_emu.Memory.create () in
@@ -455,14 +456,84 @@ let test_determinism () =
   in
   let kinfo = Kinfo.make ~warp_size:32 launch in
   let trace = Darsie_trace.Record.generate mem launch in
-  let r1 = Gpu.run_exn Engine.base_factory kinfo trace in
-  let r2 = Gpu.run_exn Engine.base_factory kinfo trace in
-  check_int "baseline deterministic" r1.Gpu.cycles r2.Gpu.cycles;
-  let d1 = Gpu.run_exn (Darsie_core.Darsie_engine.factory ()) kinfo trace in
-  let d2 = Gpu.run_exn (Darsie_core.Darsie_engine.factory ()) kinfo trace in
-  check_int "darsie deterministic" d1.Gpu.cycles d2.Gpu.cycles;
-  check_int "skip counts deterministic" d1.Gpu.stats.Stats.skipped_prefetch
-    d2.Gpu.stats.Stats.skipped_prefetch
+  List.iter
+    (fun factory ->
+      let r1 = Gpu.run_exn factory kinfo trace in
+      match
+        Gpu.first_difference ~labels:("first", "second") r1
+          (Gpu.run_exn factory kinfo trace)
+      with
+      | Some d ->
+        Alcotest.failf "%s nondeterministic: %s" r1.Gpu.engine d.Gpu.report
+      | None -> ())
+    [ Engine.base_factory; Darsie_core.Darsie_engine.factory () ]
+
+(* [Gpu.outputs] is the one definition of a run's simulated outputs that
+   every bit-identity differential compares, so each part must be in it:
+   a rerun matches, and a change to any one part is reported under that
+   part's name. *)
+let test_outputs_cover_every_part () =
+  let k =
+    parse
+      {|
+.kernel red
+.params 2
+  mov.u32 %r0, %param0;
+  ld.global.u32 %r1, [%r0+0];
+  add.u32 %r2, %r1, 42;
+  shl.b32 %r3, %tid.x, 2;
+  mad.lo.u32 %r4, %tid.y, 128, %r3;
+  add.u32 %r5, %r4, %param1;
+  st.global.u32 [%r5+0], %r2;
+  exit;
+|}
+  in
+  let mem = Darsie_emu.Memory.create () in
+  let params = Array.init 2 (fun _ -> Darsie_emu.Memory.alloc mem 65536) in
+  let launch =
+    Kernel.launch k ~grid:(Kernel.dim3 8) ~block:(Kernel.dim3 32 ~y:4)
+      ~params
+  in
+  let kinfo = Kinfo.make ~warp_size:32 launch in
+  let trace = Darsie_trace.Record.generate mem launch in
+  let run () =
+    Gpu.run_exn ~sample_interval:16 ~pcstat:true
+      (Darsie_core.Darsie_engine.factory ()) kinfo trace
+  in
+  let a = run () in
+  let first_part b =
+    Option.map
+      (fun d -> d.Gpu.part)
+      (Gpu.first_difference ~labels:("run", "changed") a b)
+  in
+  let check_part = Alcotest.(check (option string)) in
+  check_part "a rerun matches" None (first_part (run ()));
+  let changed part f = check_part part (Some part) (first_part (f (run ()))) in
+  changed "per-SM stats" (fun b ->
+      let s = b.Gpu.per_sm.(1) in
+      s.Stats.rf_reads <- s.Stats.rf_reads + 1;
+      b);
+  changed "attribution" (fun b ->
+      Obs.Attrib.bump b.Gpu.attribution Obs.Attrib.Idle;
+      b);
+  changed "ledger" (fun b ->
+      Obs.Ledger.note b.Gpu.ledger ~pc:1 Obs.Ledger.Skipped;
+      b);
+  changed "per-PC" (fun b ->
+      Obs.Pcstat.charge (Option.get b.Gpu.pcstat) ~pc:1 Obs.Attrib.Idle;
+      b);
+  changed "skip telemetry" (fun b ->
+      match b.Gpu.skip_telemetry with
+      | (pc, e) :: rest ->
+        let e = { e with Obs.Pcstat.sk_lifetime = e.sk_lifetime + 1 } in
+        { b with Gpu.skip_telemetry = (pc, e) :: rest }
+      | [] -> Alcotest.fail "the kernel left no skip telemetry");
+  changed "series" (fun b ->
+      match Obs.Series.points b.Gpu.series.(0) with
+      | p :: _ ->
+        p.Obs.Series.values.(0) <- p.Obs.Series.values.(0) + 1;
+        b
+      | [] -> Alcotest.fail "the series has no points")
 
 let test_lrr_scheduler () =
   let cfg = { Config.default with Config.scheduler = Config.Lrr } in
@@ -578,6 +649,11 @@ let () =
           Alcotest.test_case "collectors" `Quick test_collectors;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "lrr scheduler" `Quick test_lrr_scheduler;
+        ] );
+      ( "outputs",
+        [
+          Alcotest.test_case "one definition covers every part" `Quick
+            test_outputs_cover_every_part;
         ] );
       ( "engine-hooks",
         [
