@@ -272,8 +272,8 @@ let digest_of (r : Gpu.result) =
     r.Gpu.per_sm_pcstat;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Compare (cell, digest) pairs against pins recorded before the cycle
-   loop's allocation-free rewrite. A moved pin is a changed simulated
+(* Compare (cell, digest) pairs against pins recorded before the change
+   each set guards (named at the set). A moved pin is a changed simulated
    output: never re-record these to get a pass. *)
 let check_pins pins cells =
   let moved =
@@ -289,6 +289,7 @@ let check_pins pins cells =
   if moved <> [] then Alcotest.failf "%s" (String.concat "\n" moved);
   check_int "one pin per cell" (List.length pins) (List.length cells)
 
+(* Recorded before the cycle loop's allocation-free rewrite. *)
 let knob_pins =
   [
     ("BIN/BASE", "e0ed5113611142010157531ea946abf3");
@@ -397,6 +398,7 @@ let test_knob_matrix_pinned () =
            all_machines)
        m_on.Suite.apps)
 
+(* Recorded before the cycle loop's allocation-free rewrite. *)
 let lrr_pins =
   [
     ("BIN/BASE", "fbe0af02eedf29d7fccad26eae461794");
@@ -444,6 +446,75 @@ let test_lrr_pinned () =
            [ Suite.Base; Suite.Darsie ])
        m_on.Suite.apps)
 
+(* The digest of every part of [Gpu.outputs]: [digest_of] plus the skip
+   telemetry (per-PC allocations, hits, parks, flushes and lifetimes),
+   the aggregate per-PC profile and the series. *)
+let outputs_digest r =
+  Gpu.outputs r
+  |> List.map (fun (part, s) -> part ^ "=" ^ s)
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+(* Recorded before DARSIE's waiting warps went from being re-visited
+   every cycle to sleeping until an event wakes them: the per-PC park
+   counts are charged by the skip phase's waits. *)
+let skip_telemetry_pins =
+  [
+    ("BIN/DARSIE", "2158087e906b508694d41900ab9bade4");
+    ("BIN/DARSIE-IGNORE-STORE", "dedd9fe1be7efedc5fcc0ee529a4e3e8");
+    ("BIN/DARSIE-NO-CF-SYNC", "11b7a267d5c019b2672f1087261426e3");
+    ("PT/DARSIE", "8f7d040d56b6ebcc1f1e3338f08c0d2f");
+    ("PT/DARSIE-IGNORE-STORE", "470b62c4dd83183666c7686f0971bbd6");
+    ("PT/DARSIE-NO-CF-SYNC", "c4cda44d1df76e9ad9e5bd52be111ee6");
+    ("FW/DARSIE", "d0ae385948eee0d1cd78b5eee42974c4");
+    ("FW/DARSIE-IGNORE-STORE", "36438a3d3fa9076d1ff021fdcac225c1");
+    ("FW/DARSIE-NO-CF-SYNC", "479678c5cca98f6dd617fb8b2994b6f7");
+    ("SR1/DARSIE", "0c94e9f14826a2141c3c92f511955cd4");
+    ("SR1/DARSIE-IGNORE-STORE", "ca0d6637dd035632feaff6624a181733");
+    ("SR1/DARSIE-NO-CF-SYNC", "68bdaa1b1a9d09fe0333c7d31c7ef74f");
+    ("LIB/DARSIE", "cefb5387b7e27058d678806564e8c011");
+    ("LIB/DARSIE-IGNORE-STORE", "2a656bad61924a733bbafae205ad911a");
+    ("LIB/DARSIE-NO-CF-SYNC", "6b9272cc4faabfa798fcb1a6ce9f4428");
+    ("IMNLM/DARSIE", "bcae3c0b50721e555a29d8a3a89f87dc");
+    ("IMNLM/DARSIE-IGNORE-STORE", "f119d604507df9db3ba229ae821687ab");
+    ("IMNLM/DARSIE-NO-CF-SYNC", "fbbe4212ee121fb63ac162dca36bc7a5");
+    ("BP/DARSIE", "f558e8a4cf16ad8725fdf97499a64cad");
+    ("BP/DARSIE-IGNORE-STORE", "69601fe9a965724aa7725d60dba238a3");
+    ("BP/DARSIE-NO-CF-SYNC", "756b077868f9acefd223ff2db0000338");
+    ("DCT8x8/DARSIE", "76f0d42512b990c93dde94a95c264006");
+    ("DCT8x8/DARSIE-IGNORE-STORE", "bcfec237d1dae64d4d941887eeb18e12");
+    ("DCT8x8/DARSIE-NO-CF-SYNC", "f5109dba76f792d8972e072ff0dac4dd");
+    ("FWS/DARSIE", "a42fb2cf6618960f8b0a01616718de2f");
+    ("FWS/DARSIE-IGNORE-STORE", "b9965787b46a662825d951f5aa473b6e");
+    ("FWS/DARSIE-NO-CF-SYNC", "ddec967ae9cc593c7c3f8535725b38f4");
+    ("HS/DARSIE", "7bcf5c5946f0142b0fa8b3b4b6c006ff");
+    ("HS/DARSIE-IGNORE-STORE", "02badd430b20417434cfb8e6bfa8abdd");
+    ("HS/DARSIE-NO-CF-SYNC", "67f858831366c00fe70a7c9c7a74d8ef");
+    ("CP/DARSIE", "c1526c098d09a58f6d48e7fe159ca07e");
+    ("CP/DARSIE-IGNORE-STORE", "eafa7ff34994bacecce3042b2140f43a");
+    ("CP/DARSIE-NO-CF-SYNC", "ccc7ec4cf1118e42198196ea7d56e053");
+    ("CONVTEX/DARSIE", "8f6fe2fdb62647cd18aa84b53f375f62");
+    ("CONVTEX/DARSIE-IGNORE-STORE", "095f426d3f566aa002c1ede94da0e8d5");
+    ("CONVTEX/DARSIE-NO-CF-SYNC", "b97141a667cb874e39b42d1200d92e27");
+    ("MM/DARSIE", "4540a780705fbea283b7a4d78b083143");
+    ("MM/DARSIE-IGNORE-STORE", "37828b3e7f7b4dc1a0279a9187c503e7");
+    ("MM/DARSIE-NO-CF-SYNC", "12dfd31d39b2657c1d3baf4467339e39");
+  ]
+
+(* The DARSIE family at the default machine, per-PC profiling on. *)
+let test_skip_telemetry_pinned () =
+  let _, m_on = Lazy.force knob_matrices in
+  check_pins skip_telemetry_pins
+    (List.concat_map
+       (fun (app : Suite.app) ->
+         List.map
+           (fun machine ->
+             let r = Suite.run_app ~pcstat:true app machine in
+             ( Printf.sprintf "%s/%s" app.Suite.workload.W.abbr
+                 (Suite.machine_name machine),
+               outputs_digest r.Suite.gpu ))
+           [ Suite.Darsie; Suite.Darsie_ignore_store; Suite.Darsie_no_cf_sync ])
+       m_on.Suite.apps)
+
 let () =
   Alcotest.run "fidelity"
     [
@@ -469,5 +540,7 @@ let () =
             test_knob_matrix_pinned;
           Alcotest.test_case "13 apps x {BASE, DARSIE} under LRR pinned"
             `Quick test_lrr_pinned;
+          Alcotest.test_case "DARSIE family skip telemetry pinned" `Quick
+            test_skip_telemetry_pinned;
         ] );
     ]
