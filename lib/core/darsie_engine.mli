@@ -15,6 +15,12 @@
       and executes the instruction normally;
     - {e followers} wait until the leader's writeback ([LeaderWB]) and then
       skip, remapping their register version;
+    - a waiting warp (a follower before [LeaderWB], or a warp at an
+      unreleased branch sync) sleeps instead of being re-examined every
+      cycle, and is woken by an event that can end its wait: a writeback
+      at its PC, a store or atomic flushing its TB's load entries, or a
+      barrier; for a sync, its release or any change to the TB's
+      majority;
     - branches force a TB-wide synchronization among majority-path warps;
       warps whose successor differs from the majority are dropped from the
       path, as are warps that issue under a partial SIMD mask;

@@ -27,12 +27,15 @@ module Telemetry : sig
   val set_now : t -> int -> unit
   (** Set the logical clock (the SM cycle) used for lifetime accounting. *)
 
+  val now : t -> int
+  (** The logical clock as last set. *)
+
   val note_park : t -> pc:int -> unit
   (** A follower parked in this PC's warps-waiting bitmask this cycle. *)
 
   val note_parks : t -> pc:int -> n:int -> unit
-  (** [n] park cycles at once — the bulk form used when a fast-forwarded
-      span replays a steady skip phase (see {!Darsie_engine}). *)
+  (** [n] park cycles at once — the bulk form used when a follower that
+      slept through [n] skip phases wakes (see {!Darsie_engine}). *)
 
   val entries : t -> (int * Darsie_obs.Pcstat.skip_entry) list
   (** Snapshot, sorted by PC. *)

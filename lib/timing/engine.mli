@@ -52,12 +52,17 @@ type wctx = {
       (** engine fetch gate: the SM fetches for a warp only while this
           is [true]. Owned by the engine, inlined here so the skip phase
           pays a field access instead of a hash lookup. Only DARSIE
-          clears it: it re-decides a warp only when its cursor moved or
-          its TB's majority reset, and leaves a settled warp's gate at
-          [true]. Starts [true] *)
+          clears it: it re-decides a warp only when its cursor moved,
+          its TB's majority reset or an event woke it from a wait. A
+          settled warp's gate is [true], except a waiter's: it sleeps
+          with its gate [false] until woken. Starts [true] *)
   mutable parked_at : int;
       (** trace index this warp is parked at in a skip-table entry's
-          warps-waiting bitmask, or [-1] when not parked; engine-owned *)
+          warps-waiting bitmask, or [-1] when not parked; engine-owned.
+          DARSIE parks a follower waiting for its leader's writeback —
+          it sleeps until that writeback, a load flush or a barrier
+          reset wakes it — and a warp waiting on an empty rename
+          freelist, which it re-examines every cycle *)
   mutable skip_stall : int;
       (** consecutive cycles stalled on an empty rename freelist
           (DARSIE's bounded synchronization fallback); engine-owned *)
@@ -84,7 +89,7 @@ type t = {
   skip_steady : unit -> bool;
       (** true when the most recent [cycle_skip] mutated no engine or
           warp state — at most it accumulated per-cycle statistics
-          (DARSIE's probe, park and sync-stall counters). A steady skip
+          (DARSIE's probe and sync-stall counters). A steady skip
           phase is a deterministic function of frozen state, so it
           repeats identically across a jumped span; this is the license
           the fast-forward path gates on. The fetch phase runs after
@@ -95,9 +100,12 @@ type t = {
       (** charge [n] skipped executions of the skip phase ending at
           [cycle] in one call; invoked by {!Sm.fast_forward} only when
           [skip_steady ()] held. Accumulating engines run the phase
-          once at [cycle] and scale the stat deltas by [n], which also
-          leaves an engine clock (DARSIE's skip-table telemetry) where
-          stepping would have; stateless engines no-op *)
+          once at [cycle] and scale the stat deltas by [n] (DARSIE: its
+          sync-stall and probe counters, a sleeping waiter's stall
+          included), which also leaves an engine clock (DARSIE's
+          skip-table telemetry) where stepping would have, so a sleeping
+          follower's parks, charged by that clock when it wakes, come
+          out the same; stateless engines no-op *)
   recheck_fetch : wctx -> bool;
       (** re-evaluate the fetch gate for [w] at its {e current} cursor.
           [fetch_ok] holds the decision the skip phase made for the
