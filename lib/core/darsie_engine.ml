@@ -33,6 +33,9 @@ and slot_state = {
   sleep_since : int array;
       (* per sleeper: the telemetry clock a parked one's parks are
          charged from *)
+  succ : int array;
+      (* per warp: its successor PC if it arrived at the sync being
+         released, [min_int] if not; scratch for [release_sync] *)
   mutable warps : Engine.wctx array;
   mutable bar_arrived : int;
 }
@@ -86,8 +89,15 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
   in
   (* One telemetry block outlives the per-TB tables, so [pc_telemetry]
      reports entry statistics over the SM's whole run. *)
-  let telemetry = Skip_table.Telemetry.create () in
+  let pcs = Array.length kinfo.Kinfo.tb_redundant in
+  let telemetry = Skip_table.Telemetry.create ~pcs in
   let slots : (int, slot_state) Hashtbl.t = Hashtbl.create 8 in
+  (* [slots]' values in its iteration order, the order the skip phase
+     visits TBs in; taken again whenever a TB launches or finishes. *)
+  let visit_order = ref [||] in
+  let snapshot_order () =
+    visit_order := Array.of_seq (Hashtbl.to_seq_values slots)
+  in
   (* The same TBs indexed by SM slot, for the per-warp hooks' lookups;
      [Gpu.occupancy] caps an SM's TB slots at this size. *)
   let by_slot = Array.make (max 1 cfg.Config.max_tbs_per_sm) None in
@@ -221,37 +231,36 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
     end
   in
   (* Branch-synchronization release: the majority of arrived warps picks
-     the continuation path; warps headed elsewhere leave the majority. *)
+     the continuation path (the successor with the most votes, ties to
+     the lowest); warps headed elsewhere leave the majority. *)
   let release_sync slot entry =
     mutated ();
-    let votes = Hashtbl.create 4 in
-    Array.iter
-      (fun (w : Engine.wctx) ->
-        let b = 1 lsl w.Engine.warp_in_tb in
-        if entry.arrived land b <> 0 then begin
-          let s = successor_of w in
-          Hashtbl.replace votes s
-            (1 + Option.value ~default:0 (Hashtbl.find_opt votes s))
-        end)
-      slot.warps;
-    let winner =
-      Hashtbl.fold
-        (fun succ n best ->
-          match best with
-          | Some (_, bn) when bn > n -> best
-          | Some (bs, bn) when bn = n && bs <= succ -> best
-          | _ -> Some (succ, n))
-        votes None
-    in
-    (match winner with
-    | Some (succ, _) ->
-      Array.iter
-        (fun (w : Engine.wctx) ->
-          let b = 1 lsl w.Engine.warp_in_tb in
-          if entry.arrived land b <> 0 && successor_of w <> succ then
-            drop_from_majority ~reason:2 slot w)
-        slot.warps
-    | None -> ());
+    let succ = slot.succ and n = Array.length slot.warps in
+    for k = 0 to n - 1 do
+      let w = slot.warps.(k) in
+      succ.(k) <-
+        (if entry.arrived land (1 lsl w.Engine.warp_in_tb) <> 0 then
+           successor_of w
+         else min_int)
+    done;
+    let best = ref min_int and best_votes = ref 0 in
+    for k = 0 to n - 1 do
+      let s = succ.(k) in
+      if s <> min_int then begin
+        let votes = ref 0 in
+        for j = 0 to n - 1 do
+          if succ.(j) = s then incr votes
+        done;
+        if !votes > !best_votes || (!votes = !best_votes && s < !best) then begin
+          best := s;
+          best_votes := !votes
+        end
+      end
+    done;
+    for k = 0 to n - 1 do
+      if succ.(k) <> min_int && succ.(k) <> !best then
+        drop_from_majority ~reason:2 slot slot.warps.(k)
+    done;
     entry.released <- true;
     slot.open_syncs <- slot.open_syncs - 1;
     wake_syncs slot
@@ -259,7 +268,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
   (* The PCs that used a PC-coalescer port this cycle: PC [i] is in the
      set when [probe_mark.(i)] is the current generation. The set is not
      capped at [coalescer_ports], since chained skips add PCs past it. *)
-  let probe_mark = Array.make (Array.length kinfo.Kinfo.tb_redundant) (-1) in
+  let probe_mark = Array.make pcs (-1) in
   let probe_gen = ref 0 and n_probed = ref 0 in
   let probed idx = probe_mark.(idx) = !probe_gen in
   (* Process one warp's pre-fetch window; returns nothing, sets fetch_ok.
@@ -445,7 +454,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
       if e.arrived land majority = majority then release_sync e.owner e
     end
   in
-  let visit_tb _ slot =
+  let visit_tb slot =
     if slot.open_syncs > 0 then Hashtbl.iter release_ready slot.syncs;
     for k = 0 to Array.length slot.warps - 1 do
       let w = slot.warps.(k) in
@@ -463,7 +472,10 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
     incr probe_gen;
     n_probed := 0;
     (* TB visit order picks who gets the coalescer ports; digests pin it. *)
-    Hashtbl.iter visit_tb slots;
+    let order = !visit_order in
+    for i = 0 to Array.length order - 1 do
+      visit_tb order.(i)
+    done;
     last_skip_steady := not !state_mutated
   in
   (* Charge [n] skipped skip-phase executions in one call. Sound only
@@ -608,7 +620,7 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
       {
         skip =
           (let t =
-             Skip_table.create ~max_entries:entries_per_tb
+             Skip_table.create ~pcs ~max_entries:entries_per_tb
                ~rename_regs:rename_regs_per_tb
            in
            Skip_table.attach_telemetry t telemetry;
@@ -619,16 +631,19 @@ let make ?(options = default_options) (kinfo : Kinfo.t) (cfg : Config.t)
         settled = Array.make (Array.length warps) (-1);
         sleep_pc = Array.make (Array.length warps) awake;
         sleep_since = Array.make (Array.length warps) 0;
+        succ = Array.make (Array.length warps) min_int;
         warps;
         bar_arrived = 0;
       }
     in
     Hashtbl.replace slots tb_slot slot;
-    by_slot.(tb_slot) <- Some slot
+    by_slot.(tb_slot) <- Some slot;
+    snapshot_order ()
   in
   let on_tb_finish ~tb_slot =
     Hashtbl.remove slots tb_slot;
-    by_slot.(tb_slot) <- None
+    by_slot.(tb_slot) <- None;
+    snapshot_order ()
   in
   let debug_state () =
     Hashtbl.fold

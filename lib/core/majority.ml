@@ -10,12 +10,6 @@ let drop t w = t.cur <- t.cur land lnot (1 lsl w)
 
 let mask t = t.cur
 
-let all_mask t = t.all
-
 let covers t m = t.cur land lnot m = 0
 
 let reset t = t.cur <- t.all
-
-let popcount m =
-  let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
-  go m 0

@@ -16,13 +16,9 @@ val drop : t -> int -> unit
 
 val mask : t -> int
 
-val all_mask : t -> int
-
 val covers : t -> int -> bool
 (** [covers t m] — does [m] include every warp currently on the majority
     path? *)
 
 val reset : t -> unit
 (** Set every warp back on the path (barrier semantics). *)
-
-val popcount : int -> int

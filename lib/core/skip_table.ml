@@ -1,13 +1,8 @@
-(* Entries and telemetry cells are keyed by PC. Nothing reads a table's
-   iteration order (snapshots sort by PC, sweeps only add up counts), so
-   the key hashes to itself. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash (pc : int) = pc
-end)
+(* Entries and telemetry cells are arrays indexed by PC (the static
+   instruction index), sized once per kernel, as the hardware table is
+   looked up by PC (§4.3.1). Nothing reads the order the live entries are
+   visited in: sweeps and flushes only add up counts, and a telemetry
+   snapshot walks the PCs in ascending order. *)
 
 (* Per-PC entry telemetry, shared by every table the engine creates so
    the counts survive TB retirement (tables are per resident TB and die
@@ -22,18 +17,19 @@ module Telemetry = struct
     mutable lifetime : int;
   }
 
-  type t = { mutable now : int; cells : cell Itbl.t }
+  (* [cells.(pc)] is [None] until the PC is first counted. *)
+  type t = { mutable now : int; cells : cell option array }
 
-  let create () = { now = 0; cells = Itbl.create 16 }
+  let create ~pcs = { now = 0; cells = Array.make pcs None }
 
   let set_now t cycle = t.now <- cycle
 
   let now t = t.now
 
   let cell t pc =
-    match Itbl.find t.cells pc with
-    | c -> c
-    | exception Not_found ->
+    match t.cells.(pc) with
+    | Some c -> c
+    | None ->
       let c =
         {
           allocs = 0;
@@ -44,7 +40,7 @@ module Telemetry = struct
           lifetime = 0;
         }
       in
-      Itbl.add t.cells pc c;
+      t.cells.(pc) <- Some c;
       c
 
   let note_parks t ~pc ~n =
@@ -54,20 +50,24 @@ module Telemetry = struct
   let note_park t ~pc = note_parks t ~pc ~n:1
 
   let entries t =
-    Itbl.fold
-      (fun pc c acc ->
-        ( pc,
-          {
-            Darsie_obs.Pcstat.sk_allocs = c.allocs;
-            sk_hits = c.hits;
-            sk_parks = c.parks;
-            sk_load_flushes = c.load_flushes;
-            sk_barrier_flushes = c.barrier_flushes;
-            sk_lifetime = c.lifetime;
-          } )
-        :: acc)
-      t.cells []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    let acc = ref [] in
+    for pc = Array.length t.cells - 1 downto 0 do
+      match t.cells.(pc) with
+      | None -> ()
+      | Some c ->
+        acc :=
+          ( pc,
+            {
+              Darsie_obs.Pcstat.sk_allocs = c.allocs;
+              sk_hits = c.hits;
+              sk_parks = c.parks;
+              sk_load_flushes = c.load_flushes;
+              sk_barrier_flushes = c.barrier_flushes;
+              sk_lifetime = c.lifetime;
+            } )
+          :: !acc
+    done;
+    !acc
 end
 
 type instance = {
@@ -79,13 +79,16 @@ type instance = {
   born : int;  (* telemetry clock at allocation; 0 without telemetry *)
 }
 
-type entry = { pc : int; mutable instances : instance list }
-
 type t = {
   max_entries : int;
   rename_regs : int;
   mutable free : int;
-  table : entry Itbl.t;
+  insts : instance list array;  (* by PC: the entry's live instances *)
+  (* The PCs with an entry (a non-empty [insts]) are [live.(0 ..
+     n_entries - 1)], and [at.(pc)] is a PC's index there (-1: none). *)
+  live : int array;
+  at : int array;
+  mutable n_entries : int;
   mutable telemetry : Telemetry.t option;
   (* Store/atomic-flushed load instances, keyed (pc, occ), remembering
      what flushed them and who led; the skip ledger consumes one record
@@ -94,12 +97,15 @@ type t = {
   flushed : (int * int, [ `Store | `Atomic ] * int) Hashtbl.t;
 }
 
-let create ~max_entries ~rename_regs =
+let create ~pcs ~max_entries ~rename_regs =
   {
     max_entries;
     rename_regs;
     free = rename_regs;
-    table = Itbl.create 16;
+    insts = Array.make pcs [];
+    live = Array.make pcs 0;
+    at = Array.make pcs (-1);
+    n_entries = 0;
     telemetry = None;
     flushed = Hashtbl.create 16;
   }
@@ -128,10 +134,7 @@ let rec find_occ occ = function
   | [] -> absent
   | i :: rest -> if i.occ = occ then i else find_occ occ rest
 
-let lookup t ~pc ~occ =
-  match Itbl.find t.table pc with
-  | e -> find_occ occ e.instances
-  | exception Not_found -> absent
+let lookup t ~pc ~occ = find_occ occ t.insts.(pc)
 
 let find t ~pc ~occ =
   let i = lookup t ~pc ~occ in
@@ -139,10 +142,18 @@ let find t ~pc ~occ =
 
 let has_free_reg t = t.free > 0
 
-let has_entry_slot t ~pc =
-  Itbl.mem t.table pc || Itbl.length t.table < t.max_entries
+let has_entry_slot t ~pc = t.at.(pc) >= 0 || t.n_entries < t.max_entries
 
 let can_allocate t ~pc = has_entry_slot t ~pc && has_free_reg t
+
+(* Drop [pc] from the live PCs, moving the last one into its place;
+   a walk down [live] may remove the PC it is at. *)
+let remove_entry t pc =
+  let k = t.at.(pc) and last = t.live.(t.n_entries - 1) in
+  t.live.(k) <- last;
+  t.at.(last) <- k;
+  t.at.(pc) <- -1;
+  t.n_entries <- t.n_entries - 1
 
 let allocate t ~pc ~occ ~leader ~mem_dep =
   if not (can_allocate t ~pc) then
@@ -155,9 +166,12 @@ let allocate t ~pc ~occ ~leader ~mem_dep =
   let inst =
     { occ; leader; leader_wb = false; done_mask = 1 lsl leader; mem_dep; born }
   in
-  (match Itbl.find_opt t.table pc with
-  | Some e -> e.instances <- inst :: e.instances
-  | None -> Itbl.add t.table pc { pc; instances = [ inst ] });
+  if t.at.(pc) < 0 then begin
+    t.at.(pc) <- t.n_entries;
+    t.live.(t.n_entries) <- pc;
+    t.n_entries <- t.n_entries + 1
+  end;
+  t.insts.(pc) <- inst :: t.insts.(pc);
   t.free <- t.free - 1;
   match t.telemetry with
   | None -> ()
@@ -173,21 +187,17 @@ let rec any_freeable majority = function
   | [] -> false
   | i :: rest -> freeable majority i || any_freeable majority rest
 
-let sweep_entry t majority e =
-  if any_freeable majority e.instances then begin
+let sweep t ~pc ~majority =
+  let insts = t.insts.(pc) in
+  if any_freeable majority insts then begin
     let live, dead =
-      List.partition (fun i -> not (freeable majority i)) e.instances
+      List.partition (fun i -> not (freeable majority i)) insts
     in
     t.free <- t.free + List.length dead;
-    List.iter (fun i -> tel_free t e.pc i `Swept) dead;
-    e.instances <- live;
-    if live = [] then Itbl.remove t.table e.pc
+    List.iter (fun i -> tel_free t pc i `Swept) dead;
+    t.insts.(pc) <- live;
+    if live = [] then remove_entry t pc
   end
-
-let sweep t ~pc ~majority =
-  match Itbl.find t.table pc with
-  | e -> sweep_entry t majority e
-  | exception Not_found -> ()
 
 let mark_writeback t ~pc ~occ ~majority =
   let i = lookup t ~pc ~occ in
@@ -207,23 +217,23 @@ let mark_passed t ~pc ~occ ~warp ~majority =
   sweep t ~pc ~majority
 
 let recheck t ~majority =
-  let entries = Itbl.fold (fun _ e acc -> e :: acc) t.table [] in
-  List.iter (sweep_entry t majority) entries
+  for k = t.n_entries - 1 downto 0 do
+    sweep t ~pc:t.live.(k) ~majority
+  done
 
 let flush_loads t ~kind =
-  let entries = Itbl.fold (fun _ e acc -> e :: acc) t.table [] in
-  List.iter
-    (fun e ->
-      let live, dead = List.partition (fun i -> not i.mem_dep) e.instances in
-      t.free <- t.free + List.length dead;
-      List.iter
-        (fun i ->
-          tel_free t e.pc i `Load_flush;
-          Hashtbl.replace t.flushed (e.pc, i.occ) (kind, i.leader))
-        dead;
-      e.instances <- live;
-      if live = [] then Itbl.remove t.table e.pc)
-    entries
+  for k = t.n_entries - 1 downto 0 do
+    let pc = t.live.(k) in
+    let live, dead = List.partition (fun i -> not i.mem_dep) t.insts.(pc) in
+    t.free <- t.free + List.length dead;
+    List.iter
+      (fun i ->
+        tel_free t pc i `Load_flush;
+        Hashtbl.replace t.flushed (pc, i.occ) (kind, i.leader))
+      dead;
+    t.insts.(pc) <- live;
+    if live = [] then remove_entry t pc
+  done
 
 let consume_flush t ~pc ~occ =
   if Hashtbl.length t.flushed = 0 then None
@@ -235,19 +245,26 @@ let consume_flush t ~pc ~occ =
       Some record
 
 let flush_all t =
-  Itbl.iter
-    (fun pc e -> List.iter (fun i -> tel_free t pc i `Barrier_flush) e.instances)
-    t.table;
-  Itbl.reset t.table;
+  for k = 0 to t.n_entries - 1 do
+    let pc = t.live.(k) in
+    List.iter (fun i -> tel_free t pc i `Barrier_flush) t.insts.(pc);
+    t.insts.(pc) <- [];
+    t.at.(pc) <- -1
+  done;
+  t.n_entries <- 0;
   Hashtbl.reset t.flushed;
   t.free <- t.rename_regs
 
-let live_entries t = Itbl.length t.table
+let live_entries t = t.n_entries
 
 let free_regs t = t.free
 
 let live_instances t =
-  Itbl.fold (fun _ e acc -> acc + List.length e.instances) t.table 0
+  let n = ref 0 in
+  for k = 0 to t.n_entries - 1 do
+    n := !n + List.length t.insts.(t.live.(k))
+  done;
+  !n
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -256,25 +273,24 @@ let check_invariants t =
   else if t.free + live_instances t <> t.rename_regs then
     fail "register leak: %d free + %d live <> %d total" t.free
       (live_instances t) (t.rename_regs)
-  else if Itbl.length t.table > t.max_entries then
-    fail "entry overflow: %d entries, %d slots" (Itbl.length t.table)
-      t.max_entries
+  else if t.n_entries > t.max_entries then
+    fail "entry overflow: %d entries, %d slots" t.n_entries t.max_entries
   else
-    Itbl.fold
-      (fun key e acc ->
-        match acc with
-        | Error _ -> acc
-        | Ok () ->
-          if key <> e.pc then fail "entry keyed %d holds pc %d" key e.pc
-          else if e.instances = [] then fail "empty entry at pc %d" e.pc
-          else
-            let occs = List.map (fun i -> i.occ) e.instances in
-            if List.length (List.sort_uniq compare occs) <> List.length occs
-            then fail "duplicate occurrence at pc %d" e.pc
-            else if
-              List.exists
-                (fun i -> i.done_mask land (1 lsl i.leader) = 0)
-                e.instances
-            then fail "leader missing from done_mask at pc %d" e.pc
-            else Ok ())
-      t.table (Ok ())
+    let rec entry k =
+      if k = t.n_entries then Ok ()
+      else
+        let pc = t.live.(k) in
+        let insts = t.insts.(pc) in
+        if t.at.(pc) <> k then
+          fail "live entry %d holds pc %d, indexed at %d" k pc t.at.(pc)
+        else if insts = [] then fail "empty entry at pc %d" pc
+        else
+          let occs = List.map (fun i -> i.occ) insts in
+          if List.length (List.sort_uniq compare occs) <> List.length occs then
+            fail "duplicate occurrence at pc %d" pc
+          else if
+            List.exists (fun i -> i.done_mask land (1 lsl i.leader) = 0) insts
+          then fail "leader missing from done_mask at pc %d" pc
+          else entry (k + 1)
+    in
+    entry 0

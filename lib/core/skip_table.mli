@@ -22,7 +22,8 @@
 module Telemetry : sig
   type t
 
-  val create : unit -> t
+  val create : pcs:int -> t
+  (** Cells for the PCs [0 .. pcs - 1], the kernel's static instructions. *)
 
   val set_now : t -> int -> unit
   (** Set the logical clock (the SM cycle) used for lifetime accounting. *)
@@ -38,7 +39,7 @@ module Telemetry : sig
       slept through [n] skip phases wakes (see {!Darsie_engine}). *)
 
   val entries : t -> (int * Darsie_obs.Pcstat.skip_entry) list
-  (** Snapshot, sorted by PC. *)
+  (** Snapshot of every PC counted so far, in ascending PC order. *)
 end
 
 type instance = {
@@ -52,7 +53,9 @@ type instance = {
 
 type t
 
-val create : max_entries:int -> rename_regs:int -> t
+val create : pcs:int -> max_entries:int -> rename_regs:int -> t
+(** An empty table for a kernel of [pcs] static instructions: every [pc]
+    argument below is an index in [0 .. pcs - 1]. *)
 
 val attach_telemetry : t -> Telemetry.t -> unit
 (** Attach a (possibly shared) telemetry block; without one, all
@@ -124,4 +127,6 @@ val check_invariants : t -> (unit, string) result
 (** Structural soundness: freelist within bounds, free + live instances
     equals the register budget, entry count within the table bound, one
     instance per (pc, occurrence), every leader present in its instance's
-    [done_mask]. Used by the robustness layer after fault injection. *)
+    [done_mask], and the live-entry index consistent with the entries.
+    Nothing in the engine calls it; the tests check it after table
+    operations. *)

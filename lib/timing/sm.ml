@@ -41,6 +41,13 @@ type t = {
      so its [skip_steady] snapshot is stale whenever this is set. *)
   mutable fetch_mutated : bool;
   greedy : int array;  (* per scheduler: preferred wid, or -1 *)
+  (* The ready bits: per wid, the warp-local part of the issue gate
+     ([local_ready]), set and cleared where its inputs change
+     ([update_ready]); per scheduler, how many of its warps have the bit
+     set. [check_ready] recomputes both. *)
+  ready : bool array;
+  n_ready : int array;
+  struct_gates : bool;  (* mshrs or smem_banks is on *)
   mutable cycle : int;
   bank_use : int array;  (* per-RF-bank reads scheduled this cycle *)
   sm_id : int;
@@ -148,6 +155,9 @@ let create ?(sm_id = 0) ?(sink = Obs.Sink.null) ?series ?pcstat cfg kinfo
     fetch_ptr = 0;
     fetch_mutated = false;
     greedy = Array.make cfg.Config.num_schedulers (-1);
+    ready = Array.make (slots * warps_per_tb) false;
+    n_ready = Array.make cfg.Config.num_schedulers 0;
+    struct_gates = cfg.Config.mshrs > 0 || cfg.Config.smem_banks > 0;
     cycle = 0;
     bank_use = Array.make cfg.Config.rf_banks 0;
     sm_id;
@@ -355,9 +365,74 @@ let ib_pop (w : Engine.wctx) =
   w.Engine.ib_head <- (if h = Array.length w.Engine.ib_pos then 0 else h);
   w.Engine.ib_count <- w.Engine.ib_count - 1
 
+(* Set bits of an active mask (at most 62 bits wide), in constant time. *)
 let popcount m =
-  let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
-  go m 0
+  let m = m - ((m lsr 1) land 0x1555_5555_5555_5555) in
+  let m = (m land 0x3333_3333_3333_3333) + ((m lsr 2) land 0x3333_3333_3333_3333) in
+  let m = (m + (m lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (m * 0x0101_0101_0101_0101) lsr 56
+
+(* No write is outstanding to the registers [srcs.(k)] onwards. *)
+let rec srcs_ready pending srcs k =
+  k = Array.length srcs
+  || (pending.(srcs.(k)) = 0 && srcs_ready pending srcs (k + 1))
+
+let scoreboard_ready (w : Engine.wctx) kinfo idx =
+  srcs_ready w.Engine.pending kinfo.Kinfo.src_regs.(idx) 0
+  &&
+  match kinfo.Kinfo.dst_reg.(idx) with
+  | Some d -> w.Engine.pending.(d) = 0
+  | None -> true
+
+(* The warp-local part of the issue gate: the warp is not parked at a
+   barrier, and its I-buffer head clears the scoreboard. The head needs
+   no aging test here: fetch runs after issue in a step and
+   [fast_forward] never fetches, so every head the issue stage sees was
+   fetched in an earlier cycle. *)
+let local_ready t (w : Engine.wctx) =
+  (not w.Engine.at_barrier)
+  && w.Engine.ib_count > 0
+  && scoreboard_ready w t.kinfo w.Engine.ib_idx.(w.Engine.ib_head)
+
+(* Recompute [w]'s ready bit. Called wherever [local_ready]'s inputs
+   change: a writeback of a register ([complete]), an issue or drop
+   ([try_issue_head]), a fetch into an empty I-buffer ([fetch]) and a
+   barrier release. TB launch and retirement need no call: a warp there
+   has an empty I-buffer, so its bit is already clear. *)
+let update_ready t (w : Engine.wctx) =
+  let wid = w.Engine.wid in
+  let r = local_ready t w in
+  if r <> t.ready.(wid) then begin
+    t.ready.(wid) <- r;
+    let s = wid mod t.cfg.Config.num_schedulers in
+    t.n_ready.(s) <- (if r then t.n_ready.(s) + 1 else t.n_ready.(s) - 1)
+  end
+
+let check_ready t =
+  let ns = t.cfg.Config.num_schedulers in
+  let counts = Array.make ns 0 and bad = ref (-1) in
+  for wid = Array.length t.warps - 1 downto 0 do
+    let gate =
+      match t.warps.(wid) with Some w -> local_ready t w | None -> false
+    in
+    if gate <> t.ready.(wid) then bad := wid;
+    if t.ready.(wid) then counts.(wid mod ns) <- counts.(wid mod ns) + 1
+  done;
+  if !bad >= 0 then
+    Error
+      (Printf.sprintf "SM %d, cycle %d: warp %d has ready bit %b, issue gate %b"
+         t.sm_id t.cycle !bad t.ready.(!bad) (not t.ready.(!bad)))
+  else
+    let rec sched s =
+      if s = ns then Ok ()
+      else if counts.(s) <> t.n_ready.(s) then
+        Error
+          (Printf.sprintf
+             "SM %d, cycle %d: scheduler %d counts %d ready warps, bits say %d"
+             t.sm_id t.cycle s t.n_ready.(s) counts.(s))
+      else sched (s + 1)
+    in
+    sched 0
 
 (* ------------------------------------------------------------------ *)
 (* Writeback                                                           *)
@@ -418,7 +493,8 @@ let complete t s =
   | Some d ->
     w.Engine.pending.(d) <- w.Engine.pending.(d) - 1;
     w.Engine.pending_count <- w.Engine.pending_count - 1;
-    stats.Stats.rf_writes <- stats.Stats.rf_writes + 1
+    stats.Stats.rf_writes <- stats.Stats.rf_writes + 1;
+    update_ready t w
   | None -> ());
   t.slots.(w.Engine.tb_slot).inflight_ops <-
     t.slots.(w.Engine.tb_slot).inflight_ops - 1;
@@ -490,7 +566,9 @@ let barriers_and_retirement t =
         then begin
           for k = 0 to wpt - 1 do
             match t.warps.(base + k) with
-            | Some w -> w.Engine.at_barrier <- false
+            | Some w ->
+              w.Engine.at_barrier <- false;
+              update_ready t w
             | None -> ()
           done;
           slot.n_at_barrier <- 0;
@@ -533,18 +611,6 @@ let bank_of t (w : Engine.wctx) reg =
   ((w.Engine.wid * t.kinfo.Kinfo.kernel.Darsie_isa.Kernel.nregs) + reg)
   mod t.cfg.Config.rf_banks
 
-(* No write is outstanding to the registers [srcs.(k)] onwards. *)
-let rec srcs_ready pending srcs k =
-  k = Array.length srcs
-  || (pending.(srcs.(k)) = 0 && srcs_ready pending srcs (k + 1))
-
-let scoreboard_ready (w : Engine.wctx) kinfo idx =
-  srcs_ready w.Engine.pending kinfo.Kinfo.src_regs.(idx) 0
-  &&
-  match kinfo.Kinfo.dst_reg.(idx) with
-  | Some d -> w.Engine.pending.(d) = 0
-  | None -> true
-
 (* Structural memory-limit gate for the head instruction at [idx] of
    warp [w]: true when a configured fidelity knob blocks issue this
    cycle — the shared port is still serializing a bank-conflict replay
@@ -584,17 +650,14 @@ let dram_request t ~now ~ntxns =
   max_int
 
 (* The issue gate, written once for the schedulers' probe ([issueable])
-   and the issue itself ([try_issue_head]): the warp is not parked at a
-   barrier, its I-buffer head has aged a cycle since its fetch, the
-   head's operands and destination clear the scoreboard, and no
-   structural memory gate holds it. Cheapest tests first. *)
+   and the issue itself ([try_issue_head]): the warp's ready bit is set,
+   and no structural memory gate holds its head. The gates are asked
+   live, since the shared replay port is not the warp's own state. *)
 let head_ready t (w : Engine.wctx) =
-  (not w.Engine.at_barrier)
-  && w.Engine.ib_count > 0
-  && w.Engine.ib_cycle.(w.Engine.ib_head) < t.cycle
-  &&
-  let idx = w.Engine.ib_idx.(w.Engine.ib_head) in
-  scoreboard_ready w t.kinfo idx && not (mem_struct_blocked t w idx)
+  t.ready.(w.Engine.wid)
+  && not
+       (t.struct_gates
+       && mem_struct_blocked t w w.Engine.ib_idx.(w.Engine.ib_head))
 
 (* The first operand-collector unit free this cycle from [u] on, or -2. *)
 let rec free_collector t u =
@@ -789,6 +852,7 @@ let try_issue_head t (w : Engine.wctx) =
       t.slots.(w.Engine.tb_slot).inflight_ops <-
         t.slots.(w.Engine.tb_slot).inflight_ops + 1;
       add_inflight t w pos idx ~finish ~mshrs:!mshrs_alloc);
+    update_ready t w;
     true
   end
 
@@ -802,6 +866,8 @@ let issueable t wid =
 let pick_warp t sched =
   let cfg = t.cfg in
   let nw = Array.length t.warps in
+  if t.n_ready.(sched) = 0 then -1
+  else
   match cfg.Config.scheduler with
   | Config.Gto ->
     (* Greedy-then-oldest: stick with the last warp this scheduler
@@ -949,6 +1015,7 @@ let fetch t =
               emit t ~warp:w.Engine.wid Obs.Event.Fetch;
               note_exec_fate t w w.Engine.fi idx;
               ib_push w ~pos:w.Engine.fi ~cycle:t.cycle ~idx;
+              if w.Engine.ib_count = 1 then update_ready t w;
               w.Engine.fi <- w.Engine.fi + 1;
               decr bundle_left;
               if
@@ -1081,7 +1148,6 @@ let blame t bucket pc =
    from fetching into an empty I-buffer, and Fetch_starved otherwise. *)
 let classify_stall t =
   let nw = Array.length t.warps in
-  let struct_gates = t.cfg.Config.mshrs > 0 || t.cfg.Config.smem_banks > 0 in
   let live = ref false and first_nonbarrier = ref (-1) in
   let first_aged = ref (-1) and struct_w = ref (-1) and gated = ref (-1) in
   let mem_w = ref (-1) and i = ref 0 in
@@ -1102,7 +1168,7 @@ let classify_stall t =
               if w.Engine.mem_inflight > 0 then mem_w := !i
             end
             else if
-              struct_gates && !struct_w < 0 && mem_struct_blocked t w idx
+              t.struct_gates && !struct_w < 0 && mem_struct_blocked t w idx
             then struct_w := !i
           end
         end
@@ -1196,8 +1262,8 @@ let step t =
      a fully-arrived barrier whose timer is not armed yet arms it next
      step; TB retirement (and thus a possible TB launch) happens next
      step once everything drained;
-   - a warp whose I-buffer head clears the scoreboard can issue next
-     cycle (structural/collector limits are ignored — conservative);
+   - a warp whose ready bit is set can issue next cycle
+     (structural/collector limits are ignored — conservative);
    - a fetch-capable warp wakes at [fetch_ready_at] (I-cache miss fill);
    - the next time-series sampling boundary, so interval records always
      come from a normally-stepped cycle. *)
@@ -1219,8 +1285,8 @@ let next_event_cycle t =
     (* Fidelity-knob event sources. MSHR entries free at writeback, so
        their releases ride on [next_wb] above. The shared replay port
        frees the cycle after [smem_replay_until]; noting it bounds any
-       jump at the port release. (A head blocked by either gate is
-       scoreboard-ready, so the per-warp issue-side source below already
+       jump at the port release. (A head blocked by either gate has
+       its ready bit set, so the per-warp issue-side source below already
        pins the wake to [now1] whenever a warp is actually waiting —
        this source only matters when the port drains unobserved.) *)
     if t.smem_replay_until > t.cycle then
@@ -1245,12 +1311,8 @@ let next_event_cycle t =
               if not w.Engine.at_barrier then begin
                 all_arrived := false;
                 (* issue side: every buffered head is aged by the next
-                   cycle, so a scoreboard-ready head can issue then *)
-                if
-                  w.Engine.ib_count > 0
-                  && scoreboard_ready w t.kinfo
-                       w.Engine.ib_idx.(w.Engine.ib_head)
-                then wake := now1
+                   cycle, so a ready head can issue then *)
+                if t.ready.(w.Engine.wid) then wake := now1
                 else if fetch_open t w then
                   wake := Int.min !wake (Int.max now1 w.Engine.fetch_ready_at)
               end

@@ -45,6 +45,14 @@ val launch_tb : t -> tb_id:int -> traces:Darsie_trace.Record.warp array -> unit
 val step : t -> unit
 (** Advance one cycle. *)
 
+val check_ready : t -> (unit, string) result
+(** Recompute every warp's ready bit — the warp-local part of the issue
+    gate: not at a barrier, an I-buffer head, and that head clears the
+    scoreboard — and each scheduler's count of ready warps, and compare
+    them with the maintained ones. The error names the SM, the cycle,
+    the first mismatching warp and both values. Valid between two
+    {!step} calls. *)
+
 val next_event_cycle : t -> int
 (** Earliest future cycle at which stepping this SM could do anything
     observable: the soonest of a pending writeback completion, a barrier

@@ -265,7 +265,7 @@ out:
 
 let test_skip_table_invariants () =
   let module St = Darsie_core.Skip_table in
-  let t = St.create ~max_entries:8 ~rename_regs:32 in
+  let t = St.create ~pcs:8 ~max_entries:8 ~rename_regs:32 in
   let ok label = function
     | Ok () -> ()
     | Error msg -> Alcotest.failf "%s: %s" label msg

@@ -32,7 +32,7 @@ let test_majority () =
 (* ------------------------------------------------------------------ *)
 
 let test_skip_table_lifecycle () =
-  let t = Skip_table.create ~max_entries:8 ~rename_regs:4 in
+  let t = Skip_table.create ~pcs:16 ~max_entries:8 ~rename_regs:4 in
   check_int "freelist full" 4 (Skip_table.free_regs t);
   Skip_table.allocate t ~pc:10 ~occ:0 ~leader:2 ~mem_dep:false;
   check_int "one reg consumed" 3 (Skip_table.free_regs t);
@@ -52,7 +52,7 @@ let test_skip_table_lifecycle () =
   check_int "reg returned" 4 (Skip_table.free_regs t)
 
 let test_skip_table_versions () =
-  let t = Skip_table.create ~max_entries:8 ~rename_regs:4 in
+  let t = Skip_table.create ~pcs:16 ~max_entries:8 ~rename_regs:4 in
   (* two loop iterations of the same PC live simultaneously *)
   Skip_table.allocate t ~pc:5 ~occ:0 ~leader:0 ~mem_dep:false;
   Skip_table.allocate t ~pc:5 ~occ:1 ~leader:0 ~mem_dep:false;
@@ -65,12 +65,12 @@ let test_skip_table_versions () =
       Skip_table.allocate t ~pc:5 ~occ:0 ~leader:1 ~mem_dep:false)
 
 let test_skip_table_capacity () =
-  let t = Skip_table.create ~max_entries:2 ~rename_regs:8 in
+  let t = Skip_table.create ~pcs:16 ~max_entries:2 ~rename_regs:8 in
   Skip_table.allocate t ~pc:0 ~occ:0 ~leader:0 ~mem_dep:false;
   Skip_table.allocate t ~pc:1 ~occ:0 ~leader:0 ~mem_dep:false;
   check_bool "third PC refused" false (Skip_table.can_allocate t ~pc:2);
   check_bool "existing PC still ok" true (Skip_table.can_allocate t ~pc:1);
-  let t2 = Skip_table.create ~max_entries:8 ~rename_regs:1 in
+  let t2 = Skip_table.create ~pcs:16 ~max_entries:8 ~rename_regs:1 in
   Skip_table.allocate t2 ~pc:0 ~occ:0 ~leader:0 ~mem_dep:false;
   check_bool "freelist exhausted" false (Skip_table.can_allocate t2 ~pc:1);
   Alcotest.check_raises "allocate past capacity"
@@ -78,7 +78,7 @@ let test_skip_table_capacity () =
     (fun () -> Skip_table.allocate t2 ~pc:1 ~occ:0 ~leader:0 ~mem_dep:false)
 
 let test_skip_table_flush_loads () =
-  let t = Skip_table.create ~max_entries:8 ~rename_regs:8 in
+  let t = Skip_table.create ~pcs:16 ~max_entries:8 ~rename_regs:8 in
   Skip_table.allocate t ~pc:0 ~occ:0 ~leader:0 ~mem_dep:true;
   Skip_table.allocate t ~pc:1 ~occ:0 ~leader:0 ~mem_dep:false;
   Skip_table.flush_loads t ~kind:`Store;
@@ -90,7 +90,7 @@ let test_skip_table_flush_loads () =
   check_int "flush_all returns regs" 8 (Skip_table.free_regs t)
 
 let test_skip_table_majority_shrink () =
-  let t = Skip_table.create ~max_entries:8 ~rename_regs:8 in
+  let t = Skip_table.create ~pcs:16 ~max_entries:8 ~rename_regs:8 in
   Skip_table.allocate t ~pc:0 ~occ:0 ~leader:0 ~mem_dep:false;
   Skip_table.mark_writeback t ~pc:0 ~occ:0 ~majority:0b11;
   (* warp 1 never passes, but it leaves the majority *)
@@ -98,31 +98,41 @@ let test_skip_table_majority_shrink () =
   Skip_table.recheck t ~majority:0b01;
   check_int "freed once majority shrinks" 0 (Skip_table.live_instances t)
 
-(* qcheck: the freelist invariant holds under random operation sequences *)
+(* qcheck: the table's invariants ([Skip_table.check_invariants], which
+   include freelist conservation) hold after every operation of a random
+   sequence over every PC of the table, its last index included *)
 let qcheck_skip_table =
+  let pcs = 8 in
   let op_gen =
     QCheck.Gen.(
       map3
-        (fun a b c -> (a mod 6, b mod 4, c mod 3))
+        (fun a b c -> (a mod 6, b mod pcs, c mod 3))
         (int_bound 1000) (int_bound 1000) (int_bound 1000))
   in
   QCheck.Test.make ~name:"skip-table freelist conservation" ~count:300
     (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.return 40) op_gen))
     (fun ops ->
-      let t = Skip_table.create ~max_entries:4 ~rename_regs:6 in
-      List.iter
-        (fun (kind, pc, occ) ->
-          match kind with
+      let t = Skip_table.create ~pcs ~max_entries:4 ~rename_regs:6 in
+      List.iteri
+        (fun n (kind, pc, occ) ->
+          (match kind with
           | 0 ->
             if
               Skip_table.can_allocate t ~pc
               && Skip_table.find t ~pc ~occ = None
-            then Skip_table.allocate t ~pc ~occ ~leader:0 ~mem_dep:(pc = 0)
+            then
+              Skip_table.allocate t ~pc ~occ ~leader:0
+                ~mem_dep:(pc mod 2 = 0)
           | 1 -> Skip_table.mark_writeback t ~pc ~occ ~majority:0b11
           | 2 -> Skip_table.mark_passed t ~pc ~occ ~warp:1 ~majority:0b11
           | 3 -> Skip_table.flush_loads t ~kind:`Store
           | 4 -> Skip_table.recheck t ~majority:0b01
-          | _ -> Skip_table.flush_all t)
+          | _ -> Skip_table.flush_all t);
+          match Skip_table.check_invariants t with
+          | Ok () -> ()
+          | Error m ->
+            QCheck.Test.fail_reportf
+              "after operation %d (%d, pc %d, occ %d): %s" n kind pc occ m)
         ops;
       Skip_table.free_regs t + Skip_table.live_instances t = 6
       && Skip_table.free_regs t >= 0)

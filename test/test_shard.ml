@@ -37,7 +37,8 @@ type outcome =
    checks (the first check only records the token), and the cycle bound
    when cycle [max_cycles + 1] would begin. The SMs are folded into a
    result exactly as [Gpu.run] folds its own; after a failure only its
-   attribution is compared. *)
+   attribution is compared. After every step each SM's ready bits must
+   equal the issue gate recomputed from scratch ([Sm.check_ready]). *)
 let lockstep ~cfg ~sink ~sample_interval factory (kinfo : Kinfo.t)
     (trace : Record.t) =
   let warps_per_tb = Record.warps_per_tb trace in
@@ -76,7 +77,13 @@ let lockstep ~cfg ~sink ~sample_interval factory (kinfo : Kinfo.t)
       outcome := Some (Failed ("cycle_bound", !cycle + 1))
     else begin
       incr cycle;
-      Array.iter Sm.step sms;
+      Array.iter
+        (fun sm ->
+          Sm.step sm;
+          match Sm.check_ready sm with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "ready bits: %s" msg)
+        sms;
       ignore (Sm.commit_epoch ~dram sms);
       dispatch ();
       let token = sum Sm.progress_token in
@@ -353,6 +360,24 @@ let test_cycle_bound_parity () =
 
 let apps = lazy (List.map Suite.load_app Darsie_workloads.Registry.all)
 
+(* One cell off the matrix's schedulers and gates: LRR, with the shared
+   replay port on, so a ready warp is held by a structural gate. FW is
+   the Table-1 app whose shared accesses conflict at 32 banks. *)
+let test_lrr_shared_banks () =
+  let app = Suite.load_app (Option.get (Darsie_workloads.Registry.find "FW")) in
+  let cfg, engine =
+    Suite.setup
+      ~cfg:{ Config.default with Config.scheduler = Config.Lrr; smem_banks = 32 }
+      Suite.Darsie
+  in
+  let _, r =
+    against_lockstep ~cfg ~engine ~sample_interval:512
+      ~configs:[ (2, true); (1, false) ] ~label:"FW/DARSIE, LRR, 32 banks"
+      (app.Suite.kinfo, app.Suite.trace)
+  in
+  check_bool "the replay port was busy" true
+    (r.Gpu.stats.Stats.smem_replay_cycles > 0)
+
 (* Cells run on a pool of the host's cores; each cell's runs stay in
    order, so only the schedule depends on the pool. *)
 let suite_differential ?(cfg = Config.default) ~configs () =
@@ -404,5 +429,7 @@ let () =
             `Quick
             (suite_differential ~cfg:(fidelity Config.default)
                ~configs:[ (4, true); (1, false) ]);
+          Alcotest.test_case "FW on DARSIE, LRR, 32 shared banks" `Quick
+            test_lrr_shared_banks;
         ] );
     ]
