@@ -20,6 +20,16 @@ type t = {
   slots : slot_state array;
   warps : Engine.wctx option array;  (* wid = slot * warps_per_tb + lane *)
   warps_per_tb : int;
+  (* The indexes the per-step stages walk instead of every slot: the
+     occupied slot indices ([occ], [n_occ] of them) and the wids of the
+     resident warps ([resident], [n_resident]), each ascending. Rebuilt
+     by [reindex] wherever [slots] or [warps] change: [launch_tb], and
+     [barriers_and_retirement] after a retirement. [check_derived]
+     rebuilds both from scratch. *)
+  occ : int array;
+  mutable n_occ : int;
+  resident : int array;
+  mutable n_resident : int;
   (* The ops between issue and writeback, in a pool of stable slots: the
      [fly_*] arrays are indexed by slot, [live] lists the occupied slots
      in issue order and [free] stacks the others. A deferred DRAM
@@ -44,7 +54,7 @@ type t = {
   (* The ready bits: per wid, the warp-local part of the issue gate
      ([local_ready]), set and cleared where its inputs change
      ([update_ready]); per scheduler, how many of its warps have the bit
-     set. [check_ready] recomputes both. *)
+     set. [check_derived] recomputes both. *)
   ready : bool array;
   n_ready : int array;
   struct_gates : bool;  (* mshrs or smem_banks is on *)
@@ -142,6 +152,10 @@ let create ?(sm_id = 0) ?(sink = Obs.Sink.null) ?series ?pcstat cfg kinfo
           });
     warps = Array.make (slots * warps_per_tb) None;
     warps_per_tb;
+    occ = Array.make slots 0;
+    n_occ = 0;
+    resident = Array.make (slots * warps_per_tb) 0;
+    n_resident = 0;
     fly_wid = [||];
     fly_pos = [||];
     fly_idx = [||];
@@ -194,7 +208,28 @@ let emit t ~warp kind =
     Obs.Sink.emit t.sink
       { Obs.Event.cycle = t.cycle; sm = t.sm_id; warp; kind }
 
-let can_accept t = Array.exists (fun s -> not s.occupied) t.slots
+let can_accept t = t.n_occ < Array.length t.slots
+
+(* Rebuild [occ] and [resident] from [slots] and [warps]. A warp is
+   resident only in an occupied slot: launch fills the slot's unused
+   lanes with [None], and retirement empties every lane. *)
+let reindex t =
+  let wpt = t.warps_per_tb in
+  t.n_occ <- 0;
+  t.n_resident <- 0;
+  for s = 0 to Array.length t.slots - 1 do
+    if t.slots.(s).occupied then begin
+      t.occ.(t.n_occ) <- s;
+      t.n_occ <- t.n_occ + 1;
+      for wid = s * wpt to (s * wpt) + wpt - 1 do
+        match t.warps.(wid) with
+        | Some _ ->
+          t.resident.(t.n_resident) <- wid;
+          t.n_resident <- t.n_resident + 1
+        | None -> ()
+      done
+    end
+  done
 
 let launch_tb t ~tb_id ~traces =
   let slot_idx =
@@ -259,10 +294,11 @@ let launch_tb t ~tb_id ~traces =
   for w = Array.length traces to t.warps_per_tb - 1 do
     t.warps.((slot_idx * t.warps_per_tb) + w) <- None
   done;
+  reindex t;
   emit t ~warp:tb_id Obs.Event.Tb_launch;
   t.engine.Engine.on_tb_launch ~tb_slot:slot_idx ~warps
 
-let busy t = Array.exists (fun s -> s.occupied) t.slots || t.n_live > 0
+let busy t = t.n_occ > 0 || t.n_live > 0
 
 let stats t = t.stats
 
@@ -408,7 +444,7 @@ let update_ready t (w : Engine.wctx) =
     t.n_ready.(s) <- (if r then t.n_ready.(s) + 1 else t.n_ready.(s) - 1)
   end
 
-let check_ready t =
+let check_ready_bits t =
   let ns = t.cfg.Config.num_schedulers in
   let counts = Array.make ns 0 and bad = ref (-1) in
   for wid = Array.length t.warps - 1 downto 0 do
@@ -433,6 +469,36 @@ let check_ready t =
       else sched (s + 1)
     in
     sched 0
+
+(* [Ok] when the first [n] entries of the maintained index [idx] equal
+   [rebuilt]; else an error naming the first entry that differs. *)
+let check_index t what idx n rebuilt =
+  let m = Array.length rebuilt in
+  let entry a c k = if k < c then string_of_int a.(k) else "none" in
+  let rec go k =
+    if k = n && k = m then Ok ()
+    else if k < n && k < m && idx.(k) = rebuilt.(k) then go (k + 1)
+    else
+      Error
+        (Printf.sprintf
+           "SM %d, cycle %d: %s entry %d is %s, rebuilt %s (%d entries, \
+            rebuilt %d)"
+           t.sm_id t.cycle what k (entry idx n k) (entry rebuilt m k) n m)
+  in
+  go 0
+
+let check_derived t =
+  let ( let* ) = Result.bind in
+  let ascending n keep =
+    Array.of_list (List.filter keep (List.init n Fun.id))
+  in
+  let* () = check_ready_bits t in
+  let* () =
+    check_index t "occupied-slot index" t.occ t.n_occ
+      (ascending (Array.length t.slots) (fun s -> t.slots.(s).occupied))
+  in
+  check_index t "resident-warp index" t.resident t.n_resident
+    (ascending (Array.length t.warps) (fun wid -> Option.is_some t.warps.(wid)))
 
 (* ------------------------------------------------------------------ *)
 (* Writeback                                                           *)
@@ -543,62 +609,65 @@ let writeback t =
    counter is 0, finds none. *)
 let barriers_and_retirement t =
   let wpt = t.warps_per_tb in
-  for slot_idx = 0 to Array.length t.slots - 1 do
+  let retired = t.tbs_retired in
+  (* [occ] stays as it was at entry until the loop ends, so a slot
+     retiring here does not disturb the walk. *)
+  for j = 0 to t.n_occ - 1 do
+    let slot_idx = t.occ.(j) in
     let slot = t.slots.(slot_idx) in
-    if slot.occupied then begin
-      let base = slot_idx * wpt in
-      if slot.n_at_barrier > 0 then begin
-        t.stats.Stats.barrier_stall_cycles <-
-          t.stats.Stats.barrier_stall_cycles + slot.n_at_barrier;
-        let all_arrived = ref true and at_barrier = ref 0 in
-        for k = 0 to wpt - 1 do
-          match t.warps.(base + k) with
-          | Some w when w.Engine.at_barrier -> incr at_barrier
-          | Some w when not (warp_drained w) -> all_arrived := false
-          | _ -> ()
-        done;
-        assert (!at_barrier = slot.n_at_barrier);
-        (* The barrier network takes barrier_lat cycles from last-warp
-           arrival to release. *)
-        if !all_arrived && slot.barrier_release_at < 0 then
-          slot.barrier_release_at <- t.cycle + t.cfg.Config.barrier_lat;
-        if slot.barrier_release_at >= 0 && t.cycle >= slot.barrier_release_at
-        then begin
-          for k = 0 to wpt - 1 do
-            match t.warps.(base + k) with
-            | Some w ->
-              w.Engine.at_barrier <- false;
-              update_ready t w
-            | None -> ()
-          done;
-          slot.n_at_barrier <- 0;
-          slot.barrier_release_at <- -1;
-          emit t ~warp:slot_idx Obs.Event.Barrier_release
-        end
-      end;
-      (* Retirement: all warps drained, nothing in flight, none parked
-         at a barrier. *)
-      if slot.inflight_ops = 0 && slot.n_at_barrier = 0 then begin
-        let all_drained = ref true in
+    let base = slot_idx * wpt in
+    if slot.n_at_barrier > 0 then begin
+      t.stats.Stats.barrier_stall_cycles <-
+        t.stats.Stats.barrier_stall_cycles + slot.n_at_barrier;
+      let all_arrived = ref true and at_barrier = ref 0 in
+      for k = 0 to wpt - 1 do
+        match t.warps.(base + k) with
+        | Some w when w.Engine.at_barrier -> incr at_barrier
+        | Some w when not (warp_drained w) -> all_arrived := false
+        | _ -> ()
+      done;
+      assert (!at_barrier = slot.n_at_barrier);
+      (* The barrier network takes barrier_lat cycles from last-warp
+         arrival to release. *)
+      if !all_arrived && slot.barrier_release_at < 0 then
+        slot.barrier_release_at <- t.cycle + t.cfg.Config.barrier_lat;
+      if slot.barrier_release_at >= 0 && t.cycle >= slot.barrier_release_at
+      then begin
         for k = 0 to wpt - 1 do
           match t.warps.(base + k) with
           | Some w ->
-            assert (not w.Engine.at_barrier);
-            if not (warp_drained w) then all_drained := false
+            w.Engine.at_barrier <- false;
+            update_ready t w
           | None -> ()
         done;
-        if !all_drained then begin
-          slot.occupied <- false;
-          for k = 0 to wpt - 1 do
-            t.warps.(base + k) <- None
-          done;
-          t.tbs_retired <- t.tbs_retired + 1;
-          emit t ~warp:slot_idx Obs.Event.Tb_finish;
-          t.engine.Engine.on_tb_finish ~tb_slot:slot_idx
-        end
+        slot.n_at_barrier <- 0;
+        slot.barrier_release_at <- -1;
+        emit t ~warp:slot_idx Obs.Event.Barrier_release
+      end
+    end;
+    (* Retirement: all warps drained, nothing in flight, none parked at a
+       barrier. *)
+    if slot.inflight_ops = 0 && slot.n_at_barrier = 0 then begin
+      let all_drained = ref true in
+      for k = 0 to wpt - 1 do
+        match t.warps.(base + k) with
+        | Some w ->
+          assert (not w.Engine.at_barrier);
+          if not (warp_drained w) then all_drained := false
+        | None -> ()
+      done;
+      if !all_drained then begin
+        slot.occupied <- false;
+        for k = 0 to wpt - 1 do
+          t.warps.(base + k) <- None
+        done;
+        t.tbs_retired <- t.tbs_retired + 1;
+        emit t ~warp:slot_idx Obs.Event.Tb_finish;
+        t.engine.Engine.on_tb_finish ~tb_slot:slot_idx
       end
     end
-  done
+  done;
+  if t.tbs_retired <> retired then reindex t
 
 (* ------------------------------------------------------------------ *)
 (* Issue                                                               *)
@@ -956,10 +1025,19 @@ let fetch t =
   let nw = Array.length t.warps in
   if nw = 0 then ()
   else begin
-    let fetched = ref 0 and scanned = ref 0 in
-    let ptr = ref t.fetch_ptr in
-    while !fetched < cfg.Config.fetch_width && !scanned < nw do
-      (match t.warps.(!ptr mod nw) with
+    (* The round robin starts at the first resident wid at or after
+       [fetch_ptr] and wraps: the order of a scan over every wid from
+       [fetch_ptr] that passes over the empty ones. *)
+    let n = t.n_resident in
+    let first = ref 0 in
+    while !first < n && t.resident.(!first) < t.fetch_ptr do
+      incr first
+    done;
+    let fetched = ref 0 and j = ref 0 in
+    while !fetched < cfg.Config.fetch_width && !j < n do
+      let k = !first + !j in
+      let wid = t.resident.(if k >= n then k - n else k) in
+      (match t.warps.(wid) with
       | Some w
         when (not w.Engine.at_barrier)
              && t.cycle >= w.Engine.fetch_ready_at
@@ -1037,11 +1115,10 @@ let fetch t =
             end
           end
         done;
-        if !slot_used then t.fetch_ptr <- (!ptr + 1) mod nw
+        if !slot_used then t.fetch_ptr <- (if wid + 1 = nw then 0 else wid + 1)
       end
       | _ -> ());
-      incr ptr;
-      incr scanned
+      incr j
     done;
     if !fetched = 0 then
       t.stats.Stats.fetch_stall_cycles <- t.stats.Stats.fetch_stall_cycles + 1
@@ -1147,34 +1224,34 @@ let blame t bucket pc =
    first aged head, Darsie_sync for the first warp the engine keeps
    from fetching into an empty I-buffer, and Fetch_starved otherwise. *)
 let classify_stall t =
-  let nw = Array.length t.warps in
   let live = ref false and first_nonbarrier = ref (-1) in
   let first_aged = ref (-1) and struct_w = ref (-1) and gated = ref (-1) in
-  let mem_w = ref (-1) and i = ref 0 in
-  while !mem_w < 0 && !i < nw do
-    (match t.warps.(!i) with
+  let mem_w = ref (-1) and j = ref 0 in
+  while !mem_w < 0 && !j < t.n_resident do
+    let i = t.resident.(!j) in
+    (match t.warps.(i) with
     | Some w when not (warp_drained w) ->
       live := true;
       if not w.Engine.at_barrier then begin
-        if !first_nonbarrier < 0 then first_nonbarrier := !i;
+        if !first_nonbarrier < 0 then first_nonbarrier := i;
         if w.Engine.ib_count = 0 then begin
-          if !gated < 0 && not w.Engine.fetch_ok then gated := !i
+          if !gated < 0 && not w.Engine.fetch_ok then gated := i
         end
         else begin
           if w.Engine.ib_cycle.(w.Engine.ib_head) < t.cycle then begin
-            if !first_aged < 0 then first_aged := !i;
+            if !first_aged < 0 then first_aged := i;
             let idx = w.Engine.ib_idx.(w.Engine.ib_head) in
             if not (scoreboard_ready w t.kinfo idx) then begin
-              if w.Engine.mem_inflight > 0 then mem_w := !i
+              if w.Engine.mem_inflight > 0 then mem_w := i
             end
             else if
               t.struct_gates && !struct_w < 0 && mem_struct_blocked t w idx
-            then struct_w := !i
+            then struct_w := i
           end
         end
       end
     | _ -> ());
-    incr i
+    incr j
   done;
   if !mem_w >= 0 then
     blame t Obs.Attrib.Mem_pending (nearest_inflight_pc t !mem_w)
@@ -1294,42 +1371,40 @@ let next_event_cycle t =
     let wpt = t.warps_per_tb in
     (* Every source yields a cycle >= [now1], so once the wake is [now1]
        no later source can improve it and the scans stop. *)
-    let slot_idx = ref 0 in
-    while !slot_idx < Array.length t.slots && !wake > now1 do
-      let slot = t.slots.(!slot_idx) in
-      if slot.occupied then begin
-        let base = !slot_idx * wpt in
-        let all_drained = ref true in
-        let all_arrived = ref true in
-        let k = ref 0 in
-        while !k < wpt && !wake > now1 do
-          (match t.warps.(base + !k) with
-          | None -> ()
-          | Some w ->
-            if not (warp_drained w) then begin
-              all_drained := false;
-              if not w.Engine.at_barrier then begin
-                all_arrived := false;
-                (* issue side: every buffered head is aged by the next
-                   cycle, so a ready head can issue then *)
-                if t.ready.(w.Engine.wid) then wake := now1
-                else if fetch_open t w then
-                  wake := Int.min !wake (Int.max now1 w.Engine.fetch_ready_at)
-              end
-            end);
-          incr k
-        done;
-        if slot.n_at_barrier > 0 then begin
-          if slot.barrier_release_at >= 0 then
-            wake := Int.min !wake (Int.max now1 slot.barrier_release_at)
-          else if !all_arrived then wake := now1
-        end
-        else if slot.inflight_ops = 0 && !all_drained then
-          (* retirement pending: the next step frees the slot and may
-             trigger a TB launch *)
-          wake := now1
-      end;
-      incr slot_idx
+    let j = ref 0 in
+    while !j < t.n_occ && !wake > now1 do
+      let slot = t.slots.(t.occ.(!j)) in
+      let base = t.occ.(!j) * wpt in
+      let all_drained = ref true in
+      let all_arrived = ref true in
+      let k = ref 0 in
+      while !k < wpt && !wake > now1 do
+        (match t.warps.(base + !k) with
+        | None -> ()
+        | Some w ->
+          if not (warp_drained w) then begin
+            all_drained := false;
+            if not w.Engine.at_barrier then begin
+              all_arrived := false;
+              (* issue side: every buffered head is aged by the next
+                 cycle, so a ready head can issue then *)
+              if t.ready.(w.Engine.wid) then wake := now1
+              else if fetch_open t w then
+                wake := Int.min !wake (Int.max now1 w.Engine.fetch_ready_at)
+            end
+          end);
+        incr k
+      done;
+      if slot.n_at_barrier > 0 then begin
+        if slot.barrier_release_at >= 0 then
+          wake := Int.min !wake (Int.max now1 slot.barrier_release_at)
+        else if !all_arrived then wake := now1
+      end
+      else if slot.inflight_ops = 0 && !all_drained then
+        (* retirement pending: the next step frees the slot and may
+           trigger a TB launch *)
+        wake := now1;
+      incr j
     done;
     (match t.series with
     | Some s ->
@@ -1360,9 +1435,9 @@ let fast_forward t ~to_ =
     if Array.length t.warps > 0 then
       t.stats.Stats.fetch_stall_cycles <-
         t.stats.Stats.fetch_stall_cycles + span;
-    for i = 0 to Array.length t.slots - 1 do
-      let slot = t.slots.(i) in
-      if slot.occupied && slot.n_at_barrier > 0 then
+    for j = 0 to t.n_occ - 1 do
+      let slot = t.slots.(t.occ.(j)) in
+      if slot.n_at_barrier > 0 then
         t.stats.Stats.barrier_stall_cycles <-
           t.stats.Stats.barrier_stall_cycles + (span * slot.n_at_barrier)
     done;

@@ -45,13 +45,16 @@ val launch_tb : t -> tb_id:int -> traces:Darsie_trace.Record.warp array -> unit
 val step : t -> unit
 (** Advance one cycle. *)
 
-val check_ready : t -> (unit, string) result
-(** Recompute every warp's ready bit — the warp-local part of the issue
-    gate: not at a barrier, an I-buffer head, and that head clears the
-    scoreboard — and each scheduler's count of ready warps, and compare
-    them with the maintained ones. The error names the SM, the cycle,
-    the first mismatching warp and both values. Valid between two
-    {!step} calls. *)
+val check_derived : t -> (unit, string) result
+(** Recompute from scratch the state the SM maintains incrementally, and
+    compare it with the maintained copy: every warp's ready bit — the
+    warp-local part of the issue gate: not at a barrier, an I-buffer
+    head, and that head clears the scoreboard — each scheduler's count
+    of ready warps, and the two ascending indexes the per-step stages
+    walk, of the occupied threadblock slots and of the resident warps'
+    ids. The error names the SM, the cycle and the first mismatch: the
+    warp or scheduler and both values, or the index entry, both values
+    and both entry counts. Valid between two {!step} calls. *)
 
 val next_event_cycle : t -> int
 (** Earliest future cycle at which stepping this SM could do anything

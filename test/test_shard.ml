@@ -37,8 +37,9 @@ type outcome =
    checks (the first check only records the token), and the cycle bound
    when cycle [max_cycles + 1] would begin. The SMs are folded into a
    result exactly as [Gpu.run] folds its own; after a failure only its
-   attribution is compared. After every step each SM's ready bits must
-   equal the issue gate recomputed from scratch ([Sm.check_ready]). *)
+   attribution is compared. After every TB launch and every step, each
+   SM's ready bits and its indexes of occupied slots and resident warps
+   must equal their recomputation from scratch ([Sm.check_derived]). *)
 let lockstep ~cfg ~sink ~sample_interval factory (kinfo : Kinfo.t)
     (trace : Record.t) =
   let warps_per_tb = Record.warps_per_tb trace in
@@ -56,12 +57,18 @@ let lockstep ~cfg ~sink ~sample_interval factory (kinfo : Kinfo.t)
     Mem_model.Dram.create ~txn_cycles:cfg.Config.dram_txn_cycles
       ~latency:cfg.Config.dram_lat
   in
+  let check sm =
+    match Sm.check_derived sm with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "derived state: %s" msg
+  in
   let ntbs = Record.num_tbs trace and next_tb = ref 0 in
   let dispatch () =
     Array.iter
       (fun sm ->
         while !next_tb < ntbs && Sm.can_accept sm do
           Sm.launch_tb sm ~tb_id:!next_tb ~traces:trace.Record.tbs.(!next_tb);
+          check sm;
           incr next_tb
         done)
       sms
@@ -77,13 +84,7 @@ let lockstep ~cfg ~sink ~sample_interval factory (kinfo : Kinfo.t)
       outcome := Some (Failed ("cycle_bound", !cycle + 1))
     else begin
       incr cycle;
-      Array.iter
-        (fun sm ->
-          Sm.step sm;
-          match Sm.check_ready sm with
-          | Ok () -> ()
-          | Error msg -> Alcotest.failf "ready bits: %s" msg)
-        sms;
+      Array.iter (fun sm -> Sm.step sm; check sm) sms;
       ignore (Sm.commit_epoch ~dram sms);
       dispatch ();
       let token = sum Sm.progress_token in
